@@ -28,7 +28,7 @@ from .wg import (
     solve_eigen,
     solve_source,
 )
-from .cr import CrFunction, CrSpace, assemble_cr, interpolate, solve_cr_eigen
+from .cr import CrFunction, CrSpace, assemble_cr, interpolate
 from .lab import ExperimentConfig, RateTable, locking_sweep, run_experiment
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "CrSpace",
     "assemble_cr",
     "interpolate",
-    "solve_cr_eigen",
     "ExperimentConfig",
     "RateTable",
     "locking_sweep",

@@ -1,13 +1,14 @@
 """Command line front end: ``elastica run ...``.
 
 Exit codes: 0 success, 2 any solver failure during the run, 3 failed
-lower-bound check (--check-lower).
+lower-bound check (--check-lower), 4 invalid configuration (nothing is run).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import lab
 
@@ -96,20 +97,26 @@ def main(argv=None) -> int:
             merged[key] = value
 
     domain, boundary = lab.EXPERIMENTS[merged["experiment"]]
-    cfg = lab.ExperimentConfig(
-        domain=domain,
-        boundary=boundary,
-        method=merged["method"],
-        order=merged["order"],
-        E=merged["E"],
-        nu=merged["nu"],
-        delta=merged["delta"],
-        levels=_parse_levels(merged["levels"]),
-        num_eigs=merged["eigs"],
-    )
+    try:
+        cfg = lab.ExperimentConfig(
+            domain=domain,
+            boundary=boundary,
+            method=merged["method"],
+            order=merged["order"],
+            E=merged["E"],
+            nu=merged["nu"],
+            delta=merged["delta"],
+            levels=_parse_levels(merged["levels"]),
+            num_eigs=merged["eigs"],
+        )
+        nus = [float(tok) for tok in (merged["nus"] or "").split(",") if tok]
+        for nu in nus:
+            replace(cfg, nu=nu)  # checks each swept Poisson ratio before any solve
+    except ValueError as exc:
+        print(f"elastica: invalid configuration: {exc}", file=sys.stderr)
+        return 4
 
-    if merged["nus"]:
-        nus = [float(tok) for tok in merged["nus"].split(",") if tok]
+    if nus:
         sweep = lab.locking_sweep(cfg, nus)
         table = sweep["tables"][nus[0]]
         dev = sweep["max_rel_deviation"]

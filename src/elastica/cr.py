@@ -11,16 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._quadmap import cell_quadrature, edge_quadrature
 from .mesh import Mesh
 from .wg import (
     AssembledSystem,
-    EigenResult,
     ElasticParams,
     StabilizationConfig,
-    solve_eigen,
+    scatter,
+    solve_eigen,  # kept importable from here: CR systems use the same driver
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "CrFunction",
     "interpolate",
     "assemble_cr",
-    "solve_cr_eigen",
     "cr_norm",
     "jump_values",
 ]
@@ -142,11 +140,7 @@ def assemble_cr(
     K = K.reshape(nt, 6, 6)
 
     dof = (2 * m.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 6)).ravel()
-    A_entries = [K.ravel()]
-    A_rows = [rows]
-    A_cols = [cols]
+    blocks, idx = [K], [dof]
 
     # interior-edge jump penalty gamma(h) * 2 mu / h_e
     ie = m.interior_edges
@@ -160,17 +154,11 @@ def assemble_cr(
         scale = gam * 2.0 * mu / m.edge_lengths()[ie]
         P = np.einsum("e,eq,eqa,eqb->eab", scale, w_ie, J, J)
         edof = np.concatenate([m.tri_edges[tp], m.tri_edges[tm]], axis=1)  # (nie, 6)
-        for comp in range(2):
-            d = 2 * edof + comp
-            A_rows.append(np.repeat(d, 6, axis=1).ravel())
-            A_cols.append(np.tile(d, (1, 6)).ravel())
-            A_entries.append(P.ravel())
+        blocks += [P, P]
+        idx += [2 * edof, 2 * edof + 1]
 
     n = space.num_dofs
-    A = sp.coo_matrix(
-        (np.concatenate(A_entries), (np.concatenate(A_rows), np.concatenate(A_cols))),
-        shape=(n, n),
-    ).tocsr()
+    A = scatter(np.concatenate(blocks), np.concatenate(idx), n)
     A = 0.5 * (A + A.T)
 
     cpts, cw = cell_quadrature(m, 2)
@@ -179,20 +167,11 @@ def assemble_cr(
     Bloc = np.zeros((nt, 6, 6))
     Bloc[:, 0::2, 0::2] = Mscal
     Bloc[:, 1::2, 1::2] = Mscal
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 6)).ravel()
-    B = sp.coo_matrix((Bloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    B = scatter(Bloc, dof, n)
 
     return AssembledSystem(
         A=A, B=B, free=space.free_dofs(), space=None, params=params, stab=stab
     )
-
-
-def solve_cr_eigen(
-    sys: AssembledSystem, m: int, tol: float = 1e-10, seed: int = 0
-) -> EigenResult:
-    """m smallest eigenpairs of the CR scheme, b_h-normalized."""
-    return solve_eigen(sys, m, tol=tol, seed=seed)
 
 
 def jump_values(v: CrFunction, exactness: int = 4):

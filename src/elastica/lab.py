@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.num_eigs < 1:
             raise ValueError("num_eigs must be >= 1")
+        if self.order < 1:
+            raise ValueError("WG order k must be >= 1")
+        wg_mod.ElasticParams(E=self.E, nu=self.nu)  # checks E and nu
         levels = tuple(int(n) for n in self.levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
@@ -130,12 +133,10 @@ def solve_level(cfg: ExperimentConfig, n: int) -> wg_mod.EigenResult:
     params = wg_mod.ElasticParams(E=cfg.E, nu=cfg.nu)
     stab = wg_mod.StabilizationConfig(delta=cfg.delta)
     if cfg.method == "wg":
-        space = wg_mod.WgSpace(mesh, cfg.order)
-        sys = wg_mod.assemble_forms(space, params, stab)
-        return wg_mod.solve_eigen(sys, cfg.num_eigs, tol=cfg.tol, seed=cfg.seed)
-    space = cr_mod.CrSpace(mesh)
-    sys = cr_mod.assemble_cr(space, params, stab)
-    return cr_mod.solve_cr_eigen(sys, cfg.num_eigs, tol=cfg.tol, seed=cfg.seed)
+        sys = wg_mod.assemble_forms(wg_mod.WgSpace(mesh, cfg.order), params, stab)
+    else:
+        sys = cr_mod.assemble_cr(cr_mod.CrSpace(mesh), params, stab)
+    return wg_mod.solve_eigen(sys, cfg.num_eigs, tol=cfg.tol, seed=cfg.seed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateTable:
@@ -221,10 +222,8 @@ def parse_csv(path):
     """Re-parse an emitted CSV into (levels, omegas, orders)."""
     import csv
 
-    rows = []
     with open(path) as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(rec)
+        rows = list(csv.DictReader(fh))
     if not rows:
         return (), np.zeros((0, 0)), None
     levels = sorted({int(r["h"].split("/")[1]) for r in rows})

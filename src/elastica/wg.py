@@ -365,26 +365,25 @@ def assemble_forms(
     K = 0.5 * (K + K.transpose(0, 2, 1))
 
     gidx = _local_dof_indices(space)  # (nt, 2*ns)
-    rows = np.repeat(gidx, 2 * ns, axis=1).ravel()
-    cols = np.tile(gidx, (1, 2 * ns)).ravel()
-    A = sp.coo_matrix(
-        (K.ravel(), (rows, cols)), shape=(space.num_dofs, space.num_dofs)
-    ).tocsr()
+    A = scatter(K, gidx, space.num_dofs)
 
     Mphi = p["Mphi"]
     Bloc = np.zeros((nt, 2 * nk, 2 * nk))
     Bloc[:, :nk, :nk] = Mphi
     Bloc[:, nk:, nk:] = Mphi
-    bidx = gidx[:, np.r_[0:nk, ns:ns + nk]]
-    rows = np.repeat(bidx, 2 * nk, axis=1).ravel()
-    cols = np.tile(bidx, (1, 2 * nk)).ravel()
-    B = sp.coo_matrix(
-        (Bloc.ravel(), (rows, cols)), shape=(space.num_dofs, space.num_dofs)
-    ).tocsr()
+    B = scatter(Bloc, gidx[:, np.r_[0:nk, ns:ns + nk]], space.num_dofs)
 
     return AssembledSystem(
         A=A, B=B, free=space.free_dofs(), space=space, params=params, stab=stab
     )
+
+
+def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum element blocks (ne, d, d) into an n x n matrix at global dofs idx (ne, d)."""
+    d = idx.shape[1]
+    rows = np.repeat(idx, d, axis=1).ravel()
+    cols = np.tile(idx, (1, d)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _local_dof_indices(space: WgSpace) -> np.ndarray:
@@ -416,28 +415,25 @@ def _local_dof_indices(space: WgSpace) -> np.ndarray:
 def solve_eigen(
     sys: AssembledSystem, m: int, tol: float = 1e-10, seed: int = 0
 ) -> EigenResult:
-    """m smallest eigenpairs of a_w(u, v) = g b_w(u, v), b_w-normalized."""
+    """m smallest eigenpairs of a WG or CR system, b-normalized.
+
+    WG vectors have their largest-magnitude interior coefficient positive
+    (interior dofs are never constrained, so they lead the free set); CR
+    vectors their largest-magnitude coefficient.
+    """
     free = sys.free
-    Aff = sys.A[np.ix_(free, free)]
-    Bff = sys.B[np.ix_(free, free)]
-    vals, V, report = spectra.smallest_generalized_eigs(Aff, Bff, m, tol=tol, seed=seed)
+    lead = None if sys.space is None else sys.space.num_interior_dofs
+    vals, V, report = spectra.smallest_generalized_eigs(
+        sys.A[np.ix_(free, free)], sys.B[np.ix_(free, free)], m,
+        tol=tol, seed=seed, sign_rows=lead,
+    )
     full = np.zeros((sys.A.shape[0], m))
     full[free, :] = V
-    if sys.space is not None:
-        # deterministic sign: largest-magnitude interior coefficient positive
-        nint = sys.space.num_interior_dofs
-        for j in range(m):
-            x = full[:, j]
-            if x[np.argmax(np.abs(x[:nint]))] < 0:
-                full[:, j] = -x
-    Ax = Aff @ full[free, :]
-    res = np.linalg.norm(Ax - (Bff @ full[free, :]) * vals, axis=0)
-    res /= np.linalg.norm(Ax, axis=0)
     return EigenResult(
         eigenvalues=vals,
         frequencies=np.sqrt(vals),
         vectors=full,
-        residuals=res,
+        residuals=report.residuals,
         report=report,
     )
 

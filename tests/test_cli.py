@@ -98,6 +98,27 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--levels", "3,6"],
+        ["--nu", "0.5"],
+        ["--eigs", "0"],
+        ["--order", "0"],
+        ["--levels", "2,4", "--nus", "0.3,0.5"],
+    ],
+    ids=["levels", "nu", "eigs", "order", "nus"],
+)
+def test_invalid_config_exit_code(tmp_path, capsys, bad):
+    out = tmp_path / "t.csv"
+    code = run_cli(bad + ["--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("elastica: invalid configuration:")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()  # nothing was solved or written
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])

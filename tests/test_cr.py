@@ -9,7 +9,7 @@ from elastica import (
     assemble_cr,
     build_square_mesh,
     refine_uniform,
-    solve_cr_eigen,
+    solve_eigen,
 )
 from elastica._quadmap import cell_quadrature, edge_quadrature
 from elastica.cr import cr_norm, jump_values
@@ -225,7 +225,7 @@ def test_cr_norm_properties():
 def test_eigen_b_orthonormality():
     m = square(8, boundary="bottom")
     sys = assemble_cr(CrSpace(m), ElasticParams(nu=0.49), STAB)
-    res = solve_cr_eigen(sys, 4)
+    res = solve_eigen(sys, 4)
     V = res.vectors
     gram = V.T @ (sys.B @ V)
     assert np.abs(gram - np.eye(4)).max() <= 1e-8

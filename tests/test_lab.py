@@ -59,6 +59,11 @@ def test_config_validation():
         ExperimentConfig(levels=(3, 6))
     with pytest.raises(ValueError):
         ExperimentConfig(num_eigs=0)
+    # checked before any meshing: Poisson ratio and WG order
+    with pytest.raises(ValueError):
+        ExperimentConfig(nu=0.5)
+    with pytest.raises(ValueError):
+        ExperimentConfig(order=0)
 
 
 def test_run_experiment_small_and_deterministic():

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from elastica.errors import NotPositiveDefiniteError, SolverFailure
 from elastica.spectra import (
@@ -138,3 +141,32 @@ def test_b_normalization_and_sign():
         x = V[:, j]
         assert x @ (B @ x) == pytest.approx(1.0, rel=1e-10)
         assert x[np.argmax(np.abs(x))] > 0
+
+
+def test_eigs_sparse_path_factors_once(monkeypatch):
+    # one factor of A per call, reused as ARPACK's A^-1: neither the SPD
+    # factor's splu nor the one eigsh would build internally runs twice
+    calls = []
+    arpack = sys.modules[spla.eigsh.__module__]
+    for owner in (spla, arpack):
+        original = owner.splu
+
+        def counted(*args, _original=original, _owner=owner.__name__, **kwargs):
+            calls.append(_owner)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "splu", counted)
+    n = DENSE_CUTOFF + 200
+    rng = np.random.default_rng(5)
+    A = random_spd(n, rng, sparse=True)
+    mass = rng.uniform(0.5, 2.0, n)
+    mass[::3] = 0.0  # semidefinite, like the WG mass
+    B = sp.diags(mass, format="csr")
+    vals, _, report = smallest_generalized_eigs(A, B, 4)
+    assert calls == [spla.__name__]  # the SPD factor; ARPACK builds none
+    assert report.iterations > 0  # A^-1 applications of the eigen iteration
+    theta = scipy.linalg.eigh(B.toarray(), A.toarray(), eigvals_only=True)
+    ref = np.sort(1.0 / theta[-4:])
+    assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
+    # the dense path applies no operator
+    assert smallest_generalized_eigs(A[:50, :50], B[:50, :50], 2)[2].iterations == 0
