@@ -1,7 +1,8 @@
 """Command line front end: ``elastica run ...``.
 
 Exit codes: 0 success, 2 any solver failure during the run, 3 failed
-lower-bound check (--check-lower), 4 invalid configuration (nothing is run).
+lower-bound check (--check-lower), 4 invalid configuration, including an
+unreadable or malformed --config file (nothing is run).
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ import sys
 from dataclasses import replace
 
 from . import lab
+
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return value in ("1", "true", "yes")
+
 
 _CFG_KEYS = {
     "experiment": str,
@@ -24,8 +32,10 @@ _CFG_KEYS = {
     "format": str,
     "out": str,
     "nus": str,
-    "check_lower": lambda s: s.lower() in ("1", "true", "yes"),
+    "check_lower": _parse_bool,
 }
+
+_FORMATS = ("csv", "md")
 
 
 def _parse_levels(text: str):
@@ -59,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--delta", type=float, help="stabilization exponent")
     run.add_argument("--levels", type=str, help="comma-separated list of n (h=1/n)")
     run.add_argument("--eigs", type=int, help="number of eigenpairs")
-    run.add_argument("--format", choices=["csv", "md"])
+    run.add_argument("--format", choices=_FORMATS)
     run.add_argument("--out", type=str, help="output file path")
     run.add_argument("--check-lower", action="store_true", default=None,
                      dest="check_lower",
@@ -86,8 +96,8 @@ _DEFAULTS = {
 }
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _configure(args):
+    """Merge defaults, the config file and flags; raise on any invalid value."""
     merged = dict(_DEFAULTS)
     if args.config:
         merged.update(_load_config_file(args.config))
@@ -95,24 +105,35 @@ def main(argv=None) -> int:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-
+    if merged["experiment"] not in lab.EXPERIMENTS:
+        raise ValueError(f"unknown experiment {merged['experiment']!r}")
+    if merged["format"] not in _FORMATS:
+        raise ValueError(f"unknown format {merged['format']!r}")
     domain, boundary = lab.EXPERIMENTS[merged["experiment"]]
+    cfg = lab.ExperimentConfig(
+        domain=domain,
+        boundary=boundary,
+        method=merged["method"],
+        order=merged["order"],
+        E=merged["E"],
+        nu=merged["nu"],
+        delta=merged["delta"],
+        levels=_parse_levels(merged["levels"]),
+        num_eigs=merged["eigs"],
+    )
+    nus = [float(tok) for tok in (merged["nus"] or "").split(",") if tok]
+    if len(nus) == 1:
+        raise ValueError("locking sweep needs at least two Poisson ratios")
+    for nu in nus:
+        replace(cfg, nu=nu)  # checks each swept Poisson ratio before any solve
+    return merged, cfg, nus
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        cfg = lab.ExperimentConfig(
-            domain=domain,
-            boundary=boundary,
-            method=merged["method"],
-            order=merged["order"],
-            E=merged["E"],
-            nu=merged["nu"],
-            delta=merged["delta"],
-            levels=_parse_levels(merged["levels"]),
-            num_eigs=merged["eigs"],
-        )
-        nus = [float(tok) for tok in (merged["nus"] or "").split(",") if tok]
-        for nu in nus:
-            replace(cfg, nu=nu)  # checks each swept Poisson ratio before any solve
-    except ValueError as exc:
+        merged, cfg, nus = _configure(args)
+    except (OSError, ValueError) as exc:
         print(f"elastica: invalid configuration: {exc}", file=sys.stderr)
         return 4
 

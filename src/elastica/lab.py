@@ -203,7 +203,7 @@ def emit(table: RateTable, fmt: str, path) -> None:
     """Write a table as CSV (machine format) or markdown (report layout)."""
     if fmt == "csv":
         _emit_csv(table, path)
-    elif fmt in ("md", "markdown"):
+    elif fmt == "md":
         _emit_markdown(table, path)
     else:
         raise ValueError(f"unknown format {fmt!r}")

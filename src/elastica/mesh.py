@@ -9,7 +9,7 @@ tagging returns a new object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,11 +33,13 @@ _EPS = 1e-12
 class BoundarySpec:
     """Selector for Dirichlet boundary edges.
 
-    ``dirichlet_predicate(x, y)`` is evaluated at boundary-edge midpoints;
-    edges where it returns True are tagged Dirichlet, the rest Neumann.
+    ``dirichlet_predicate(x, y)`` is called once, with the (nb,) float
+    arrays of the boundary-edge midpoint coordinates.  It returns an (nb,)
+    boolean array, or a scalar that applies to every edge.  Edges where
+    it is True are tagged Dirichlet, the rest Neumann.
     """
 
-    dirichlet_predicate: Callable[[float, float], bool]
+    dirichlet_predicate: Callable[[np.ndarray, np.ndarray], object]
 
 
 def full_dirichlet() -> BoundarySpec:
@@ -127,18 +129,10 @@ class Mesh:
         return self.vertices[self.triangles].mean(axis=1)
 
     def areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return 0.5 * np.abs(_cross(self.vertices, self.triangles))
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return 0.5 * _cross(self.vertices, self.triangles)
 
     def outward_normals(self) -> np.ndarray:
         """Outward unit normals, shape (nt, 3, 2), per local edge."""
@@ -155,54 +149,49 @@ class Mesh:
         return normals
 
 
+def _cross(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle (positive when counterclockwise)."""
+    p = vertices[triangles]
+    return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 2, 0] - p[:, 0, 0]
+    ) * (p[:, 1, 1] - p[:, 0, 1])
+
+
 def _build_topology(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
 
     # enforce counterclockwise orientation
-    p = vertices[triangles]
-    sa = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
-    flip = sa < 0
+    flip = _cross(vertices, triangles) < 0
     if np.any(flip):
         triangles = triangles.copy()
-        triangles[flip, 1], triangles[flip, 2] = (
-            triangles[flip, 2],
-            triangles[flip, 1],
-        )
+        triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    nt = len(triangles)
-    # local edge l is opposite local vertex l
-    raw = np.stack(
-        [
-            triangles[:, [1, 2]],
-            triangles[:, [2, 0]],
-            triangles[:, [0, 1]],
-        ],
-        axis=1,
-    ).reshape(-1, 2)
-    canon = np.sort(raw, axis=1)
-    edges, inverse = np.unique(canon, axis=0, return_inverse=True)
+    nt, nv = len(triangles), len(vertices)
+    # local edge l is opposite local vertex l; the key lo * nv + hi sorts
+    # like the vertex pair (lo, hi)
+    raw = triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    keys, inverse = np.unique(
+        raw.min(axis=1) * nv + raw.max(axis=1), return_inverse=True
+    )
+    edges = np.stack([keys // nv, keys % nv], axis=1)
     tri_edges = inverse.reshape(nt, 3)
 
     ne = len(edges)
-    edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-    # fill incident triangles; T+ = smaller triangle index first
-    order = np.argsort(inverse, kind="stable")
-    tris_of_entry = order // 3
     counts = np.bincount(inverse, minlength=ne)
-    pos = 0
-    for e in range(ne):
-        c = counts[e]
-        inc = np.sort(tris_of_entry[pos : pos + c])
-        edge_tris[e, :c] = inc
-        pos += c
-    if np.any(counts > 2) or np.any(counts == 0):
+    if np.any(counts > 2):
         raise ValueError("non-manifold triangulation")
+    # entries grouped by edge, ascending triangle index within each group,
+    # so T+ (the smaller triangle index) comes first
+    tri_of_entry = np.argsort(inverse, kind="stable") // 3
+    start = np.cumsum(counts) - counts
+    edge_tris = np.full((ne, 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = tri_of_entry[start]
+    shared = counts == 2
+    edge_tris[shared, 1] = tri_of_entry[start[shared] + 1]
 
     edge_tags = np.full(ne, "", dtype="<U1")
-    edge_tags[edge_tris[:, 1] < 0] = "B"
+    edge_tags[~shared] = "B"
 
     ep = vertices[edges]
     elen = np.hypot(ep[:, 1, 0] - ep[:, 0, 0], ep[:, 1, 1] - ep[:, 0, 1])
@@ -227,18 +216,13 @@ def _structured_cells(nx: int, ny: int, x0: float, y0: float, h: float):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            # split along the diagonal a -> c
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    return verts, np.array(tris, dtype=np.int64)
+    # cell (i, j), i-major, has corners a=(i,j), b=(i+1,j), c=(i+1,j+1), d=(i,j+1)
+    a = (np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    b = a + (ny + 1)
+    c, d = b + 1, a + 1
+    # split along the diagonal a -> c
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return verts, tris
 
 
 def _dedupe(verts: np.ndarray, tris: np.ndarray):
@@ -279,15 +263,11 @@ def refine_uniform(m: Mesh) -> Mesh:
 
     Boundary tags are inherited by the two halves of each tagged edge.
     """
-    verts = m.vertices
-    nv = len(verts)
-    mid = 0.5 * (verts[m.edges[:, 0]] + verts[m.edges[:, 1]])
-    new_verts = np.vstack([verts, mid])
-    midid = nv + np.arange(m.num_edges)
+    nv = m.num_vertices
+    new_verts = np.vstack([m.vertices, m.edge_midpoints()])
 
     t = m.triangles
-    e = m.tri_edges
-    m0, m1, m2 = midid[e[:, 0]], midid[e[:, 1]], midid[e[:, 2]]
+    m0, m1, m2 = (nv + m.tri_edges).T  # midpoint vertex of each local edge
     children = np.concatenate(
         [
             np.stack([t[:, 0], m2, m1], axis=1),
@@ -298,33 +278,12 @@ def refine_uniform(m: Mesh) -> Mesh:
     )
     refined = _build_topology(new_verts, children)
 
-    # inherit boundary tags: parent edge (a,b) with midpoint m splits into
-    # (a,m) and (m,b)
-    tagged = np.where(np.isin(m.edge_tags, ("D", "N")))[0]
-    if len(tagged):
-        tag_of = {}
-        for e_id in tagged:
-            a, b = m.edges[e_id]
-            mm = midid[e_id]
-            tag = m.edge_tags[e_id]
-            tag_of[(min(a, mm), max(a, mm))] = tag
-            tag_of[(min(b, mm), max(b, mm))] = tag
-        tags = refined.edge_tags.copy()
-        for e_id in refined.boundary_edges:
-            key = tuple(refined.edges[e_id])
-            if key in tag_of:
-                tags[e_id] = tag_of[key]
-        refined = Mesh(
-            vertices=refined.vertices,
-            triangles=refined.triangles,
-            edges=refined.edges,
-            edge_tris=refined.edge_tris,
-            tri_edges=refined.tri_edges,
-            edge_tags=tags,
-            h_per_element=refined.h_per_element,
-            h_global=refined.h_global,
-        )
-    return refined
+    # a boundary child edge joins a parent vertex to the midpoint nv + e of
+    # its parent edge e, so its larger vertex id names the parent
+    b = refined.boundary_edges
+    tags = refined.edge_tags.copy()
+    tags[b] = m.edge_tags[refined.edges[b, 1] - nv]
+    return replace(refined, edge_tags=tags)
 
 
 def classify_boundary(m: Mesh, spec: BoundarySpec) -> Mesh:
@@ -333,28 +292,16 @@ def classify_boundary(m: Mesh, spec: BoundarySpec) -> Mesh:
     Raises ValueError when the spec selects no Dirichlet edge (the
     eigenvalue problem needs |Gamma_D| > 0).
     """
-    tags = m.edge_tags.copy()
-    mids = m.edge_midpoints()
-    ndir = 0
-    for e_id in m.boundary_edges:
-        x, y = mids[e_id]
-        if spec.dirichlet_predicate(x, y):
-            tags[e_id] = "D"
-            ndir += 1
-        else:
-            tags[e_id] = "N"
-    if ndir == 0:
-        raise ValueError("boundary spec selects no Dirichlet edge")
-    return Mesh(
-        vertices=m.vertices,
-        triangles=m.triangles,
-        edges=m.edges,
-        edge_tris=m.edge_tris,
-        tri_edges=m.tri_edges,
-        edge_tags=tags,
-        h_per_element=m.h_per_element,
-        h_global=m.h_global,
+    b = m.boundary_edges
+    x, y = m.edge_midpoints()[b].T
+    dirichlet = np.broadcast_to(
+        np.asarray(spec.dirichlet_predicate(x, y), dtype=bool), b.shape
     )
+    if not dirichlet.any():
+        raise ValueError("boundary spec selects no Dirichlet edge")
+    tags = m.edge_tags.copy()
+    tags[b] = np.where(dirichlet, "D", "N")
+    return replace(m, edge_tags=tags)
 
 
 def dump_mesh(m: Mesh, path) -> None:

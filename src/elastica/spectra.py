@@ -113,7 +113,9 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
     tol : ARPACK tolerance on the reciprocal problem.
     seed : start-vector seed (results are deterministic per seed).
     sign_rows : the sign of each vector is set by its largest-magnitude
-        entry among the first sign_rows rows (all rows by default).
+        entry among the first sign_rows rows (all rows by default).  Entries
+        within 1e-8 relative of that magnitude count as tied, and the first
+        of them decides, so round-off cannot flip a symmetric mode.
 
     Returns
     -------
@@ -158,8 +160,8 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
         bnorm = float(x @ (B @ x))
         if bnorm > 0:
             x = x / np.sqrt(bnorm)
-        lead = x[:sign_rows]
-        if lead[np.argmax(np.abs(lead))] < 0:
+        lead = np.abs(x[:sign_rows])
+        if x[np.argmax(lead >= (1.0 - 1e-8) * lead.max())] < 0:
             x = -x
         V[:, j] = x
 

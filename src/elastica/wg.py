@@ -108,6 +108,12 @@ class WgSpace:
         return self.mesh.num_edges * 2 * self.nke
 
     @property
+    def sign_rows(self) -> int:
+        """Leading free rows that fix an eigenvector's sign: the interior
+        dofs, which are never constrained and so lead the free set."""
+        return self.num_interior_dofs
+
+    @property
     def num_dofs(self) -> int:
         return self.num_interior_dofs + self.num_edge_dofs
 
@@ -171,14 +177,12 @@ class WgFunction:
 
 @dataclass
 class AssembledSystem:
-    """Stiffness/mass pair with the free-dof index map."""
+    """Stiffness/mass pair with the free-dof index map of its space."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     free: np.ndarray
-    space: WgSpace = None
-    params: ElasticParams = None
-    stab: StabilizationConfig = None
+    space: object  # the WgSpace or cr.CrSpace that numbers the dofs
 
 
 @dataclass
@@ -373,9 +377,7 @@ def assemble_forms(
     Bloc[:, nk:, nk:] = Mphi
     B = scatter(Bloc, gidx[:, np.r_[0:nk, ns:ns + nk]], space.num_dofs)
 
-    return AssembledSystem(
-        A=A, B=B, free=space.free_dofs(), space=space, params=params, stab=stab
-    )
+    return AssembledSystem(A=A, B=B, free=space.free_dofs(), space=space)
 
 
 def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
@@ -417,15 +419,14 @@ def solve_eigen(
 ) -> EigenResult:
     """m smallest eigenpairs of a WG or CR system, b-normalized.
 
-    WG vectors have their largest-magnitude interior coefficient positive
-    (interior dofs are never constrained, so they lead the free set); CR
-    vectors their largest-magnitude coefficient.
+    Each vector has its largest-magnitude coefficient among the space's
+    sign_rows positive: WG vectors their largest interior coefficient, CR
+    vectors their largest coefficient.
     """
     free = sys.free
-    lead = None if sys.space is None else sys.space.num_interior_dofs
     vals, V, report = spectra.smallest_generalized_eigs(
         sys.A[np.ix_(free, free)], sys.B[np.ix_(free, free)], m,
-        tol=tol, seed=seed, sign_rows=lead,
+        tol=tol, seed=seed, sign_rows=sys.space.sign_rows,
     )
     full = np.zeros((sys.A.shape[0], m))
     full[free, :] = V

@@ -48,11 +48,12 @@ def test_config_file_merging(tmp_path):
     assert omegas.shape[0] == 2
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("wibble = 3\n")
-    with pytest.raises(ValueError):
-        cli.main(["run", "--config", str(cfgfile)])
+    assert cli.main(["run", "--config", str(cfgfile)]) == 4
+    err = capsys.readouterr().err
+    assert err == "elastica: invalid configuration: unknown config key 'wibble'\n"
 
 
 def test_locking_sweep_output(tmp_path, capsys):
@@ -99,17 +100,27 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, cfg_text",
     [
-        ["--levels", "3,6"],
-        ["--nu", "0.5"],
-        ["--eigs", "0"],
-        ["--order", "0"],
-        ["--levels", "2,4", "--nus", "0.3,0.5"],
+        (["--levels", "3,6"], None),
+        (["--nu", "0.5"], None),
+        (["--eigs", "0"], None),
+        (["--order", "0"], None),
+        (["--levels", "2,4", "--nus", "0.3,0.5"], None),
+        (["--levels", "2,4", "--nus", "0.3"], None),
+        (["--levels", "2,4"], "experiment = foo\n"),
+        (["--levels", "2,4"], "format = xls\n"),
+        (["--levels", "2,4"], "check_lower = ture\n"),
+        (["--levels", "2,4", "--config", "missing.cfg"], None),
     ],
-    ids=["levels", "nu", "eigs", "order", "nus"],
+    ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "cfg-experiment",
+         "cfg-format", "cfg-check-lower", "missing-cfg"],
 )
-def test_invalid_config_exit_code(tmp_path, capsys, bad):
+def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
+    monkeypatch.chdir(tmp_path)
+    if cfg_text is not None:
+        (tmp_path / "run.cfg").write_text(cfg_text)
+        bad = bad + ["--config", "run.cfg"]
     out = tmp_path / "t.csv"
     code = run_cli(bad + ["--out", str(out)])
     assert code == 4

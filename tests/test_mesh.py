@@ -13,6 +13,7 @@ from elastica import (
     full_dirichlet,
     refine_uniform,
 )
+from elastica.mesh import _build_topology
 
 
 def euler_characteristic(m):
@@ -115,6 +116,22 @@ def test_classify_full_and_mixed():
     assert len(m.dirichlet_edges) == 8
 
 
+@pytest.mark.parametrize(
+    "predicate, ndir",
+    [
+        (lambda x, y: x < 0.5, 4),  # array: the left side, left halves of bottom and top
+        (lambda x, y: True, 8),  # scalar: applies to every boundary edge
+        (lambda x, y: np.bool_(True), 8),
+    ],
+    ids=["array", "scalar", "numpy-scalar"],
+)
+def test_classify_predicate_array_or_scalar(predicate, ndir):
+    m = classify_boundary(build_square_mesh(2), BoundarySpec(predicate))
+    assert len(m.dirichlet_edges) == ndir
+    assert len(m.neumann_edges) == 8 - ndir
+    assert np.all(m.edge_tags[m.interior_edges] == "")
+
+
 def test_classify_empty_dirichlet_rejected():
     spec = BoundarySpec(dirichlet_predicate=lambda x, y: False)
     with pytest.raises(ValueError):
@@ -153,3 +170,34 @@ def test_dump_format(tmp_path):
     for ln in lines:
         if ln.startswith("e"):
             assert ln.split()[-1] in ("D", "N")
+
+
+def test_non_manifold_rejected():
+    # three triangles share the edge (0, 1)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]])
+    with pytest.raises(ValueError, match="non-manifold"):
+        _build_topology(verts, tris)
+
+
+def test_clockwise_input_made_counterclockwise():
+    m = build_square_mesh(2)
+    cw = m.triangles[:, [0, 2, 1]]
+    r = _build_topology(m.vertices, cw)
+    assert np.all(r.signed_areas() > 0)
+    np.testing.assert_array_equal(r.triangles, m.triangles)
+    np.testing.assert_array_equal(r.edge_tris, m.edge_tris)
+
+
+def _midpoint_tags(m):
+    mids = np.round(m.edge_midpoints(), 12)
+    return sorted(zip(map(tuple, mids), m.edge_tags))
+
+
+@pytest.mark.parametrize("build", [build_square_mesh, build_lshape_mesh])
+@pytest.mark.parametrize("spec", [full_dirichlet, bottom_dirichlet])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_refined_tags_match_direct_build(build, spec, n):
+    refined = refine_uniform(classify_boundary(build(n), spec()))
+    direct = classify_boundary(build(2 * n), spec())
+    assert _midpoint_tags(refined) == _midpoint_tags(direct)

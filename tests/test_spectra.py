@@ -170,3 +170,19 @@ def test_eigs_sparse_path_factors_once(monkeypatch):
     assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
     # the dense path applies no operator
     assert smallest_generalized_eigs(A[:50, :50], B[:50, :50], 2)[2].iterations == 0
+
+
+def test_sign_rule_ties_decided_by_lowest_index():
+    # the lowest mode is (e_i - e_j) / sqrt(2): two entries of equal magnitude
+    # and opposite sign, so round-off must not pick the one that fixes the sign
+    n = DENSE_CUTOFF + 200
+    i, j = 10, 1500
+    d = np.random.default_rng(6).uniform(3.0, 4.0, n)
+    d[[i, j]] = 2.0
+    A = sp.diags(d, format="lil")
+    A[i, j] = A[j, i] = 0.5
+    B = sp.identity(n, format="csr")
+    for seed in range(8):
+        vals, V, _ = smallest_generalized_eigs(A.tocsr(), B, 2, seed=seed)
+        assert vals[0] == pytest.approx(1.5, rel=1e-10)
+        assert V[i, 0] > 0 > V[j, 0]

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from elastica import (
+    CrSpace,
     ElasticParams,
     StabilizationConfig,
     WgFunction,
@@ -235,9 +236,13 @@ def test_coercivity_sampled():
 
 
 def test_solve_eigen_synthetic_diagonal():
-    A = sp.csr_matrix(np.diag([2.0, 3.0]))
-    B = sp.identity(2, format="csr")
-    sys = AssembledSystem(A=A, B=B, free=np.array([0, 1]))
+    space = CrSpace(square(1))  # clamped: only the diagonal edge's 2 dofs are free
+    free = space.free_dofs()
+    d = np.full(space.num_dofs, 9.0)
+    d[free] = [2.0, 3.0]
+    A = sp.diags(d, format="csr")
+    B = sp.identity(space.num_dofs, format="csr")
+    sys = AssembledSystem(A=A, B=B, free=free, space=space)
     res = solve_eigen(sys, 2)
     assert np.allclose(res.eigenvalues, [2.0, 3.0], atol=1e-12)
     assert np.allclose(res.frequencies, np.sqrt([2.0, 3.0]), atol=1e-12)
