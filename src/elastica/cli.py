@@ -1,8 +1,10 @@
 """Command line front end: ``elastica run ...``.
 
-Exit codes: 0 success, 2 any solver failure during the run, 3 failed
-lower-bound check (--check-lower), 4 invalid configuration, including an
-unreadable or malformed --config file (nothing is run).
+Exit codes: 0 success, 2 any solver failure during the run, including
+unconverged eigenpairs (the failed level's column is NaN), 3 failed
+lower-bound check (--check-lower; the failed condition is named), 4 invalid
+configuration, including an unreadable or malformed --config file (nothing
+is run).
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=str, help="output file path")
     run.add_argument("--check-lower", action="store_true", default=None,
                      dest="check_lower",
-                     help="fail (exit 3) unless the gamma ladder is monotone")
+                     help="fail (exit 3) unless the gamma ladder is monotone and "
+                          "below its Richardson limit")
     run.add_argument("--nus", type=str,
                      help="comma-separated Poisson ratios for a locking sweep")
     run.add_argument("--config", type=str, help="key=value config file")
@@ -154,9 +157,11 @@ def main(argv=None) -> int:
         for level, msg in sorted(table.failures.items()):
             print(f"solver failure at level {level}: {msg}", file=sys.stderr)
         return 2
-    if merged["check_lower"] and not lab.check_lower_bounds(table):
-        print("lower-bound check failed: gamma ladder not monotone", file=sys.stderr)
-        return 3
+    if merged["check_lower"]:
+        reason = lab.lower_bound_violation(table)
+        if reason is not None:
+            print(f"lower-bound check failed: {reason}", file=sys.stderr)
+            return 3
     return 0
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "run_experiment",
     "locking_sweep",
     "check_lower_bounds",
+    "lower_bound_violation",
     "emit",
     "parse_csv",
     "EXPERIMENTS",
@@ -140,7 +141,10 @@ def solve_level(cfg: ExperimentConfig, n: int) -> wg_mod.EigenResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateTable:
-    """Run the whole refinement ladder; per-level failures are recorded."""
+    """Run the whole refinement ladder; per-level failures are recorded.
+
+    A level fails when its solver raises or reports unconverged eigenpairs;
+    its column of the table is then NaN."""
     m = cfg.num_eigs
     nlev = len(cfg.levels)
     gammas = np.full((m, nlev), np.nan)
@@ -148,9 +152,13 @@ def run_experiment(cfg: ExperimentConfig) -> RateTable:
     for col, n in enumerate(cfg.levels):
         try:
             res = solve_level(cfg, n)
-            gammas[:, col] = res.eigenvalues
         except SolverFailure as exc:
             failures[n] = str(exc)
+            continue
+        if not res.report.converged:
+            failures[n] = f"eigenpairs not converged: worst residual {res.report.residual:.3e}"
+            continue
+        gammas[:, col] = res.eigenvalues
     omegas = np.sqrt(gammas)
     orders = None
     if nlev >= 3:
@@ -184,19 +192,32 @@ def locking_sweep(cfg: ExperimentConfig, nus) -> dict:
     return {"nus": nus, "tables": tables, "max_rel_deviation": dev}
 
 
-def check_lower_bounds(table: RateTable, slack: float = 1e-8) -> bool:
-    """Monotone nondecreasing gamma ladder, below its Richardson limit."""
+def lower_bound_violation(table: RateTable, slack: float = 1e-8) -> Optional[str]:
+    """Why the gamma ladder is no lower-bound ladder, or None if it is.
+
+    The ladder must be nondecreasing in every eigenpair and, with three or
+    more levels, stay below its Richardson limit (plus slack).
+    """
     g = table.gammas
     if np.any(np.isnan(g)):
-        return False
-    if np.any(np.diff(g, axis=1) < 0):
-        return False
+        return "a level has no eigenvalues"
+    step = np.diff(g, axis=1)
+    if np.any(step < 0):
+        j, col = np.unravel_index(np.argmin(step), step.shape)
+        a, b = table.levels[col], table.levels[col + 1]
+        return f"gamma_{j + 1} drops by {-step[j, col]:.3e} from n={a} to n={b}"
     if g.shape[1] >= 3:
-        for j in range(g.shape[0]):
-            limit = richardson_limit(*g[j, -3:])
-            if np.any(g[j] > limit + slack):
-                return False
-    return True
+        for j, row in enumerate(g):
+            limit = richardson_limit(*row[-3:])
+            excess = row.max() - limit
+            if excess > slack:
+                return f"gamma_{j + 1} exceeds its Richardson limit {limit:.6g} by {excess:.3e}"
+    return None
+
+
+def check_lower_bounds(table: RateTable, slack: float = 1e-8) -> bool:
+    """Monotone nondecreasing gamma ladder, below its Richardson limit."""
+    return lower_bound_violation(table, slack) is None
 
 
 def emit(table: RateTable, fmt: str, path) -> None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,66 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.lab, "run_experiment", lambda c: broken)
     code = run_cli(["--levels", "2,4", "--out", str(tmp_path / "f.csv")])
     assert code == 2
+
+
+def test_unconverged_level_fails_the_run(tmp_path, monkeypatch, capsys):
+    # a solve whose report is not converged counts as a failed level: its
+    # column stays NaN, the failure names the worst residual and the run exits 2
+    solve = lab.wg_mod.solve_eigen
+
+    def unconverged(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        report = dataclasses.replace(
+            res.report, residuals=np.full(len(res.eigenvalues), 3.5e-6), converged=False
+        )
+        return dataclasses.replace(res, report=report)
+
+    monkeypatch.setattr(lab.wg_mod, "solve_eigen", unconverged)
+    table = lab.run_experiment(ExperimentConfig(levels=(2, 4), num_eigs=1))
+    assert sorted(table.failures) == [2, 4]
+    assert "not converged" in table.failures[4]
+    assert "3.500e-06" in table.failures[4]
+    assert np.all(np.isnan(table.gammas))
+    out = tmp_path / "u.csv"
+    code = run_cli(["--levels", "2,4", "--eigs", "1", "--out", str(out)])
+    assert code == 2
+    assert "solver failure at level 4: eigenpairs not converged" in capsys.readouterr().err
+    _, omegas, _ = lab.parse_csv(out)
+    assert np.all(np.isnan(omegas))  # no unchecked eigenvalue is written
+
+
+def test_check_lower_names_the_drop(tmp_path, capsys):
+    # CR on the clamped square converges from above: gamma_1 drops
+    code = run_cli(
+        [
+            "--experiment", "square", "--method", "cr",
+            "--levels", "8,16", "--eigs", "1", "--check-lower",
+            "--out", str(tmp_path / "cr.csv"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("lower-bound check failed: gamma_1 drops by ")
+    assert err.rstrip().endswith("from n=8 to n=16")
+
+
+def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
+    # monotone, but accelerating: the Richardson limit 0.5 lies below the
+    # finest value 2.5, so the ladder cannot be a lower-bound ladder
+    cfg = ExperimentConfig(levels=(2, 4, 8), num_eigs=1)
+    gammas = np.array([[1.0, 1.5, 2.5]])
+    table = RateTable(
+        config=cfg, levels=cfg.levels, omegas=np.sqrt(gammas), gammas=gammas
+    )
+    assert lab.richardson_limit(1.0, 1.5, 2.5) == pytest.approx(0.5)
+    monkeypatch.setattr(cli.lab, "run_experiment", lambda c: table)
+    code = run_cli(["--levels", "2,4,8", "--check-lower", "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "lower-bound check failed: gamma_1 exceeds its Richardson limit 0.5 by 2.000e+00\n"
+    )
+    assert not lab.check_lower_bounds(table)
 
 
 @pytest.mark.parametrize(

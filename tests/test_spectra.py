@@ -6,12 +6,16 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from elastica import ElasticParams, StabilizationConfig, WgSpace, assemble_forms
 from elastica.errors import NotPositiveDefiniteError, SolverFailure
 from elastica.spectra import (
     DENSE_CUTOFF,
+    SpdFactor,
     factorize_spd,
     smallest_generalized_eigs,
 )
+
+from conftest import square
 
 
 def random_spd(n, rng, sparse=False):
@@ -186,3 +190,123 @@ def test_sign_rule_ties_decided_by_lowest_index():
         vals, V, _ = smallest_generalized_eigs(A.tocsr(), B, 2, seed=seed)
         assert vals[0] == pytest.approx(1.5, rel=1e-10)
         assert V[i, 0] > 0 > V[j, 0]
+
+
+@pytest.mark.parametrize("n", [40, DENSE_CUTOFF + 300], ids=["dense", "sparse"])
+@pytest.mark.parametrize("refine", [True, False])
+def test_block_solve_matches_columnwise(n, refine):
+    rng = np.random.default_rng(12)
+    A = sp.csr_matrix(random_spd(n, rng, sparse=True))
+    F = SpdFactor(A)
+    b = rng.standard_normal((n, 3))
+    block = F.solve(b, refine=refine)
+    columns = np.column_stack([F.solve(b[:, j], refine=refine) for j in range(3)])
+    assert block.shape == (n, 3)
+    assert np.abs(block - columns).max() <= 1e-14 * np.abs(columns).max()
+
+
+def test_eigs_sparse_path_on_wg_system_matches_dense():
+    # a real WG k=1 system just above the dense cutoff, with its singular mass
+    space = WgSpace(square(10), 1)
+    sys_ = assemble_forms(space, ElasticParams(E=1.0, nu=0.49), StabilizationConfig())
+    free = sys_.free
+    A = sys_.A[np.ix_(free, free)]
+    B = sys_.B[np.ix_(free, free)]
+    n = A.shape[0]
+    assert DENSE_CUTOFF < n < DENSE_CUTOFF + 500
+    vals, V, report = smallest_generalized_eigs(A, B, 4, sign_rows=space.sign_rows)
+    assert report.iterations > 0  # the sparse path ran
+    theta = scipy.linalg.eigh(
+        B.toarray(), A.toarray(), eigvals_only=True, subset_by_index=[n - 4, n - 1]
+    )
+    ref = np.sort(1.0 / theta)
+    assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
+    assert np.all(report.residuals <= 1e-10)
+    assert report.converged
+    assert np.abs(V.T @ (B @ V) - np.eye(4)).max() <= 1e-10
+
+
+def test_eigs_sparse_path_factor_applications(monkeypatch):
+    # Krylov phase: one bare solve (one SuperLU.solve) per step; finish: one
+    # refined block solve of width k, which is two SuperLU.solve calls
+    rhs_ndims = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs, trans="N"):
+            rhs_ndims.append(np.ndim(rhs))
+            return self._lu.solve(rhs, trans)
+
+    original = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: CountingLU(original(*a, **kw)))
+    n = DENSE_CUTOFF + 200
+    rng = np.random.default_rng(5)
+    A = random_spd(n, rng, sparse=True)
+    mass = rng.uniform(0.5, 2.0, n)
+    mass[::3] = 0.0
+    B = sp.diags(mass, format="csr")
+    m = 4
+    k = m + 3
+    _, _, report = smallest_generalized_eigs(A, B, m)
+    krylov_steps = report.iterations - k
+    assert krylov_steps > 0
+    assert rhs_ndims.count(1) == krylov_steps
+    assert rhs_ndims.count(2) == 2
+    assert rhs_ndims[-2:] == [2, 2]  # the finish comes last
+
+
+def test_eigs_sparse_path_mass_of_low_rank():
+    # B has rank 3 < k = m + 3: the Ritz vectors in B's kernel carry no finite
+    # eigenvalue and are left out of the finish; asking for more than 3 fails
+    n = DENSE_CUTOFF + 200
+    rng = np.random.default_rng(7)
+    A = random_spd(n, rng, sparse=True)
+    mass = np.zeros(n)
+    mass[[5, 700, 1400]] = 1.0
+    B = sp.diags(mass, format="csr")
+    vals, _, report = smallest_generalized_eigs(A, B, 2)
+    theta = scipy.linalg.eigh(B.toarray(), A.toarray(), eigvals_only=True)
+    ref = np.sort(1.0 / theta[-3:])[:2]
+    assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
+    assert report.converged
+    with pytest.raises(SolverFailure, match="only 3 finite") as info:
+        smallest_generalized_eigs(A, B, 4)
+    assert info.value.report.iterations > 0
+
+
+def test_eigs_rayleigh_ritz_failure_is_solver_failure(monkeypatch):
+    # a projected mass Y^T B Y that is not positive definite ends the solve
+    # as a SolverFailure carrying its report, not as a LinAlgError
+    def not_definite(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("the leading minor of order 3 is not positive")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", not_definite)
+    n = DENSE_CUTOFF + 200
+    A = random_spd(n, np.random.default_rng(7), sparse=True)
+    B = sp.identity(n, format="csr")
+    with pytest.raises(SolverFailure, match="Rayleigh-Ritz") as info:
+        smallest_generalized_eigs(A, B, 2)
+    assert info.value.report.iterations > 0
+    assert not info.value.report.converged
+
+
+def test_converged_bound_follows_the_rounding_floor():
+    # a stiff penalty t G^T G (like the lambda term as nu -> 1/2) ties dof
+    # pairs together; forming A x then loses about eps * t, so the residual
+    # of an accurate pair sits far above 1e-8 and must still count as converged
+    n = DENSE_CUTOFF + 200
+    rng = np.random.default_rng(13)
+    K = random_spd(n, rng, sparse=True)
+    pairs = np.repeat(np.arange(n // 2), 2)
+    G = sp.csr_matrix((np.tile([1.0, -1.0], n // 2), (pairs, np.arange(n))), shape=(n // 2, n))
+    A = sp.csr_matrix(K + 1e10 * (G.T @ G))
+    B = sp.identity(n, format="csr")
+    vals, _, report = smallest_generalized_eigs(A, B, 3)
+    assert report.residual > 1e-8
+    assert report.converged
+    # the t -> infinity limit: x_2i = x_2i+1 = y_i, K_r y = g 2 y
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), pairs)), shape=(n, n // 2))
+    limit = np.sort(scipy.linalg.eigvalsh((P.T @ K @ P).toarray()))[:3] / 2
+    assert np.all(np.abs(vals - limit) <= 1e-6 * limit)
