@@ -94,10 +94,13 @@ class RateTable:
 
     config: ExperimentConfig
     levels: tuple
-    omegas: np.ndarray          # (num_eigs, nlevels), NaN on failed levels
-    gammas: np.ndarray          # (num_eigs, nlevels)
+    gammas: np.ndarray          # (num_eigs, nlevels), NaN on failed levels
     orders: Optional[np.ndarray] = None   # (num_eigs,), None if < 3 levels
     failures: dict = field(default_factory=dict)  # level -> message
+
+    @property
+    def omegas(self) -> np.ndarray:
+        return np.sqrt(self.gammas)
 
 
 def convergence_order(g1: float, g2: float, g3: float) -> float:
@@ -159,7 +162,6 @@ def run_experiment(cfg: ExperimentConfig) -> RateTable:
             failures[n] = f"eigenpairs not converged: worst residual {res.report.residual:.3e}"
             continue
         gammas[:, col] = res.eigenvalues
-    omegas = np.sqrt(gammas)
     orders = None
     if nlev >= 3:
         a, b, c = cfg.levels[-3:]
@@ -170,7 +172,6 @@ def run_experiment(cfg: ExperimentConfig) -> RateTable:
     return RateTable(
         config=cfg,
         levels=cfg.levels,
-        omegas=omegas,
         gammas=gammas,
         orders=orders,
         failures=failures,
@@ -233,10 +234,10 @@ def emit(table: RateTable, fmt: str, path) -> None:
 def _emit_csv(table: RateTable, path) -> None:
     with open(path, "w") as fh:
         fh.write("j,h,omega,order\n")
-        for j in range(table.omegas.shape[0]):
+        for j, row in enumerate(table.omegas):
             order = "" if table.orders is None else repr(float(table.orders[j]))
-            for col, n in enumerate(table.levels):
-                fh.write(f"{j + 1},1/{n},{float(table.omegas[j, col])!r},{order}\n")
+            for n, omega in zip(table.levels, row):
+                fh.write(f"{j + 1},1/{n},{float(omega)!r},{order}\n")
 
 
 def parse_csv(path):
@@ -267,8 +268,8 @@ def _emit_markdown(table: RateTable, path) -> None:
     with open(path, "w") as fh:
         fh.write("| h | " + " | ".join(hs) + " | Order |\n")
         fh.write("|" + "---|" * (len(hs) + 2) + "\n")
-        for j in range(table.omegas.shape[0]):
-            cells = [f"{table.omegas[j, c]:.6f}" for c in range(len(hs))]
+        for j, row in enumerate(table.omegas):
+            cells = [f"{w:.6f}" for w in row]
             if table.orders is None or math.isnan(table.orders[j]):
                 order = "-"
             else:

@@ -2,22 +2,25 @@
 
 Direct factorization for SPD systems and a generalized symmetric
 eigensolver for A x = g B x with A SPD and B positive semidefinite.  The
-eigensolver works on the reciprocal pair B x = (1/g) A x, so B's kernel
-(edge unknowns carrying no mass) contributes no finite eigenvalue and is
-ignored automatically.  Below a size cutoff a dense decomposition is used,
-which doubles as the oracle in the test suite.
+mass lives on B's support r, the rows with a positive diagonal (the WG
+interior unknowns, every CR unknown), where B_rr is SPD.  A finite pair has
+x = g A^-1 B x, so x_r fixes it and solves A_c x_r = g B_rr x_r, with A_c
+the Schur complement of A onto r, whose inverse is (A^-1)_rr.  The solver
+works on that pencil, so B's kernel never enters it.  Below a size cutoff
+it solves eigh(A_c, B_rr) densely, which doubles as the test oracle.
 
-Above the cutoff A is factored once per call and the solve runs in two
-phases (Ericsson and Ruhe, Math. Comp. 35, 1980; Parlett, The Symmetric
-Eigenvalue Problem, ch. 11):
+Above the cutoff A is factored once per call, then (Ericsson and Ruhe, Math.
+Comp. 35, 1980; Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
 
-1. Krylov phase: ARPACK's A^-1 operator is the bare factor, one pair of
-   triangular solves per step, without iterative refinement.
-2. Finish: one block inverse-iteration step Y = A^-1 (B X) from the k Ritz
-   vectors X (less any in B's kernel), with a refined solve, then Rayleigh-Ritz on the exact pencil
-   (Y^T A Y, Y^T B Y).  This removes the error the bare factor leaves in
-   the Krylov subspace and any component in the kernel of B, and returns
-   B-orthonormal vectors.
+1. Krylov phase: ARPACK in shift-invert mode (sigma = 0) on vectors of
+   length |r| in the B_rr inner product.  Its operator (A^-1)_rr is one
+   bare solve of the factor, without refinement, on a right-hand side padded
+   with zeros outside r; A itself is never multiplied.  If |r| <= m + 3,
+   the number of Ritz vectors ARPACK computes, r's unit vectors replace them.
+2. Finish: one refined block solve Y = A^-1 pad(B_rr X) from the Ritz
+   vectors X, then Rayleigh-Ritz on the exact pencil (Y^T A Y, Y^T B Y).
+   This removes the error the bare factor leaves in the Krylov subspace and
+   returns full-length B-orthonormal vectors.
 """
 
 from __future__ import annotations
@@ -42,11 +45,12 @@ ROUNDING = 100 * np.finfo(float).eps
 
 @dataclass
 class SolveReport:
-    """iterations: A^-1 applications counted as vectors, i.e. the Krylov
-    steps plus the width of the finishing block solve, 0 on the dense path;
-    residuals: ||A x - g B x|| / ||A x|| per pair; converged: every residual
-    is within max(tol, 1e-8), or within ROUNDING * ||A||_1 ||x|| / ||A x||
-    where that rounding floor is larger (a stiff A, nu near 1/2)."""
+    """iterations: solves with the factor of A counted as vectors, i.e. the
+    Krylov steps plus the width of the finishing block solve, 0 on the dense
+    path; residuals: ||A x - g B x|| / ||A x|| per pair, on the full A and B;
+    converged: every residual is within max(tol, 1e-8), or within
+    ROUNDING * ||A||_1 ||x|| / ||A x|| where that rounding floor is larger (a
+    stiff A, nu near 1/2)."""
 
     iterations: int
     residuals: np.ndarray
@@ -70,8 +74,7 @@ class SpdFactor:
 
     def __init__(self, A):
         self._A = sp.csc_matrix(A)
-        n = self._A.shape[0]
-        if n <= DENSE_CUTOFF:
+        if self._A.shape[0] <= DENSE_CUTOFF:
             try:
                 chol = scipy.linalg.cho_factor(self._A.toarray())
             except scipy.linalg.LinAlgError as exc:
@@ -86,10 +89,6 @@ class SpdFactor:
                 options=dict(SymmetricMode=True),
             )
             self._solve = self._lu.solve
-
-    @property
-    def shape(self):
-        return self._A.shape
 
     def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
         x = self._solve(b)
@@ -111,23 +110,16 @@ def factorize_spd(A) -> SpdFactor:
     return F
 
 
-def _finite(theta):
-    """Which reciprocal eigenvalues belong to a finite g; B's kernel gives theta ~ 0."""
-    return theta > 1e-13 * max(theta.max(), 1.0)
-
-
-def _dense_pair(A, B, m):
+def _dense_pair(A, B, r, m):
+    """m lowest pairs of eigh(A_c, B_rr), with x_s = -A_ss^-1 A_sr x_r off r."""
     Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
     Bd = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
-    # theta ascending, eigenvectors A-orthonormal; finite g = 1/theta
-    theta, V = scipy.linalg.eigh(Bd, Ad)
-    finite = _finite(theta)
-    theta = theta[finite]
-    V = V[:, finite]
-    if len(theta) < m:
-        raise SolverFailure(f"only {len(theta)} finite eigenvalues available")
-    idx = np.argsort(theta)[::-1][:m]
-    return theta[idx], V[:, idx]
+    s = np.setdiff1d(np.arange(len(Ad)), r)
+    E = scipy.linalg.solve(Ad[np.ix_(s, s)], Ad[np.ix_(s, r)], assume_a="pos")
+    vals, X = scipy.linalg.eigh(Ad[np.ix_(r, r)] - Ad[np.ix_(r, s)] @ E, Bd[np.ix_(r, r)])
+    V = np.empty((len(Ad), len(r)))
+    V[r], V[s] = X, -E @ X
+    return vals[:m], V[:, :m]
 
 
 def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
@@ -138,7 +130,8 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
     A : SPD matrix (sparse or dense).
     B : positive semidefinite matrix of the same size.
     m : number of eigenpairs.
-    tol : ARPACK tolerance on the reciprocal problem.
+    tol : ARPACK tolerance on the shift-inverted problem on B's support,
+        whose eigenvalues are 1/g.
     seed : start-vector seed (results are deterministic per seed).
     sign_rows : the sign of each vector is set by its largest-magnitude
         entry among the first sign_rows rows (all rows by default).  Entries
@@ -147,8 +140,9 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
 
     Returns
     -------
-    (values, vectors, report): values ascending, vectors B-normalized
-    columns with the sign rule above.
+    (values, vectors, report): values ascending, vectors B-orthonormal with
+    the sign rule above.  Fewer than m finite eigenvalues, a B singular on
+    its support or an ARPACK error raise SolverFailure with the report.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -157,66 +151,71 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
     applies = 0
     # taken before A is factored, so the copy abs(A) never adds to the peak memory
     anorm = abs(A).sum(axis=0).max()
-    if n <= DENSE_CUTOFF or m + 2 >= n:
-        theta, V = _dense_pair(A, B, m)
-        vals = 1.0 / theta
+    # B's support: a PSD matrix with a zero diagonal entry is zero on that row
+    r = np.flatnonzero(B.diagonal() > 0)
+
+    def failure(message):
+        wall = time.perf_counter() - t0
+        return SolverFailure(message, SolveReport(applies, np.array([np.inf]), False, wall))
+
+    if n <= DENSE_CUTOFF:
+        try:
+            vals, V = _dense_pair(A, B, r, m)
+        except scipy.linalg.LinAlgError as exc:
+            raise failure(f"dense eigensolve on B's support failed: {exc}") from exc
     else:
         factor = SpdFactor(A)
-        B = sp.csc_matrix(B)
+        B = sp.csr_matrix(B)
+        Brr = B[r][:, r]
+        pad = np.zeros(n)
 
         def apply_inverse(x):
+            # (A^-1)_rr x: one bare solve on x padded with zeros outside r
             nonlocal applies
             applies += 1
-            return factor.solve(x, refine=False)
+            pad[r] = x
+            return factor.solve(pad, refine=False)[r]
 
-        def failure(message):
-            wall = time.perf_counter() - t0
-            report = SolveReport(applies, np.array([np.inf]), False, wall)
-            return SolverFailure(message, report)
-
-        Ainv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        k = min(m + 3, n - 1)
-        try:
-            theta, X = spla.eigsh(B, k, M=factor._A, Minv=Ainv, which="LA", tol=tol, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise failure(f"ARPACK did not converge: {exc}") from exc
-        X = X[:, _finite(theta)]
-        if X.shape[1] < m:
-            raise failure(f"only {X.shape[1]} finite eigenvalues available")
+        if len(r) <= m + 3:
+            X = np.eye(len(r))  # too few unknowns for ARPACK's m + 3 vectors: all of r
+        else:
+            op = spla.LinearOperator((len(r), len(r)), matvec=apply_inverse, dtype=float)
+            v0 = np.random.default_rng(seed).standard_normal(len(r))
+            try:
+                # in shift-invert mode eigsh reads only the shape of its first argument
+                _, X = spla.eigsh(op, m + 3, M=Brr, sigma=0, OPinv=op, which="LM", tol=tol, v0=v0)
+            except spla.ArpackError as exc:
+                raise failure(f"ARPACK failed on B's support: {exc}") from exc
         # finish: one refined block inverse-iteration step, then Rayleigh-Ritz
         # on the exact pencil; ascending g, vectors B-orthonormal
-        Y = factor.solve(B @ X)
+        rhs = np.zeros((n, X.shape[1]))
+        rhs[r] = Brr @ X
+        Y = factor.solve(rhs)
         applies += Y.shape[1]
         try:
             vals, W = scipy.linalg.eigh(Y.T @ (A @ Y), Y.T @ (B @ Y))
         except scipy.linalg.LinAlgError as exc:
             raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
         vals, V = vals[:m], Y @ W[:, :m]
+    if len(vals) < m:
+        raise failure(f"only {len(vals)} finite eigenvalues available")
     if np.any(vals <= 0):
         raise SolverFailure("nonpositive Rayleigh quotient; check matrix PSD-ness")
 
-    # B-normalize and fix signs deterministically
-    for j in range(V.shape[1]):
-        x = V[:, j]
-        bnorm = float(x @ (B @ x))
-        if bnorm > 0:
-            x = x / np.sqrt(bnorm)
-        lead = np.abs(x[:sign_rows])
-        if x[np.argmax(lead >= (1.0 - 1e-8) * lead.max())] < 0:
-            x = -x
-        V[:, j] = x
+    # both paths return ascending values and B-orthonormal vectors; fix signs
+    for j in range(m):
+        lead = np.abs(V[:sign_rows, j])
+        if V[np.argmax(lead >= (1.0 - 1e-8) * lead.max()), j] < 0:
+            V[:, j] *= -1.0
 
     Ax = A @ V
-    BV = B @ V
     ax = np.linalg.norm(Ax, axis=0)
-    res = np.linalg.norm(Ax - BV * vals, axis=0) / ax
+    res = np.linalg.norm(Ax - (B @ V) * vals, axis=0) / ax
     floor = ROUNDING * anorm * np.linalg.norm(V, axis=0) / ax
-    order = np.argsort(vals)
     report = SolveReport(
         iterations=applies,
-        residuals=res[order],
+        residuals=res,
         converged=bool(np.all(res <= np.maximum(max(tol, 1e-8), floor))),
         wall_time=time.perf_counter() - t0,
     )
-    return vals[order], V[:, order], report
+    return vals, V, report

@@ -10,8 +10,8 @@ by local integration-by-parts identities.  The stiffness form is
 
 with the vanishing stabilization weight gamma(h) = h^delta that yields
 asymptotic lower eigenvalue bounds.  The mass form b_w(v, w) = (v0, w0)
-involves the interior part only, so the assembled mass matrix is singular
-on edge unknowns; the eigensolver handles that (see spectra).
+involves the interior part only, so the mass matrix is zero on the edge
+unknowns; the eigensolver works on its support, the interior (see spectra).
 """
 
 from __future__ import annotations

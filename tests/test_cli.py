@@ -92,7 +92,6 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     broken = RateTable(
         config=cfg,
         levels=cfg.levels,
-        omegas=np.full((1, 2), np.nan),
         gammas=np.full((1, 2), np.nan),
         failures={2: "no convergence", 4: "no convergence"},
     )
@@ -147,9 +146,7 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
     # finest value 2.5, so the ladder cannot be a lower-bound ladder
     cfg = ExperimentConfig(levels=(2, 4, 8), num_eigs=1)
     gammas = np.array([[1.0, 1.5, 2.5]])
-    table = RateTable(
-        config=cfg, levels=cfg.levels, omegas=np.sqrt(gammas), gammas=gammas
-    )
+    table = RateTable(config=cfg, levels=cfg.levels, gammas=gammas)
     assert lab.richardson_limit(1.0, 1.5, 2.5) == pytest.approx(0.5)
     monkeypatch.setattr(cli.lab, "run_experiment", lambda c: table)
     code = run_cli(["--levels", "2,4,8", "--check-lower", "--out", str(tmp_path / "r.csv")])

@@ -88,7 +88,6 @@ def _fabricated(gammas, levels=(4, 8, 16)):
     return RateTable(
         config=cfg,
         levels=levels,
-        omegas=np.sqrt(gammas),
         gammas=gammas,
         orders=None,
     )

@@ -15,7 +15,7 @@ from elastica.spectra import (
     smallest_generalized_eigs,
 )
 
-from conftest import square
+from conftest import lshape, square
 
 
 def random_spd(n, rng, sparse=False):
@@ -205,10 +205,10 @@ def test_block_solve_matches_columnwise(n, refine):
     assert np.abs(block - columns).max() <= 1e-14 * np.abs(columns).max()
 
 
-def test_eigs_sparse_path_on_wg_system_matches_dense():
+def _wg_sparse_path_matches_dense(mesh, nu):
     # a real WG k=1 system just above the dense cutoff, with its singular mass
-    space = WgSpace(square(10), 1)
-    sys_ = assemble_forms(space, ElasticParams(E=1.0, nu=0.49), StabilizationConfig())
+    space = WgSpace(mesh, 1)
+    sys_ = assemble_forms(space, ElasticParams(E=1.0, nu=nu), StabilizationConfig())
     free = sys_.free
     A = sys_.A[np.ix_(free, free)]
     B = sys_.B[np.ix_(free, free)]
@@ -224,6 +224,15 @@ def test_eigs_sparse_path_on_wg_system_matches_dense():
     assert np.all(report.residuals <= 1e-10)
     assert report.converged
     assert np.abs(V.T @ (B @ V) - np.eye(4)).max() <= 1e-10
+
+
+def test_eigs_sparse_path_on_wg_system_matches_dense():
+    _wg_sparse_path_matches_dense(square(10), nu=0.49)
+
+
+def test_eigs_sparse_path_on_wg_lshape_matches_dense():
+    # the L-shape's re-entrant corner, 2,496 free dofs
+    _wg_sparse_path_matches_dense(lshape(6), nu=0.3)
 
 
 def test_eigs_sparse_path_factor_applications(monkeypatch):
@@ -289,6 +298,83 @@ def test_eigs_rayleigh_ritz_failure_is_solver_failure(monkeypatch):
     with pytest.raises(SolverFailure, match="Rayleigh-Ritz") as info:
         smallest_generalized_eigs(A, B, 2)
     assert info.value.report.iterations > 0
+    assert not info.value.report.converged
+
+
+class _CountingProducts:
+    """Counts every product of a sparse matrix with a vector or a block."""
+
+    products = 0
+
+    def _matmul_dispatch(self, other):
+        _CountingProducts.products += 1
+        return super()._matmul_dispatch(other)
+
+
+class _CountingCsr(_CountingProducts, sp.csr_matrix):
+    pass
+
+
+class _CountingCsc(_CountingProducts, sp.csc_matrix):
+    pass
+
+
+def test_eigs_sparse_path_multiplies_a_only_in_finish_and_check(monkeypatch):
+    # the Krylov loop works on B's support with the factor alone: A (and the
+    # factor's own copy of it) is multiplied by the Rayleigh-Ritz step, the
+    # refinement of the finishing block solve and the residual check, three
+    # products whatever the number of Krylov steps; ARPACK's vectors have
+    # length |r|, not n
+    original_init = SpdFactor.__init__
+
+    def counting_init(self, A):
+        original_init(self, A)
+        self._A = _CountingCsc(self._A)
+
+    monkeypatch.setattr(SpdFactor, "__init__", counting_init)
+    monkeypatch.setattr(_CountingProducts, "products", 0)
+    lengths = []
+    original_eigsh = spla.eigsh
+
+    def spying_eigsh(A, k, **kwargs):
+        lengths.extend([A.shape[0], kwargs["M"].shape[0], len(kwargs["v0"])])
+        return original_eigsh(A, k, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spying_eigsh)
+    n = DENSE_CUTOFF + 200
+    rng = np.random.default_rng(5)
+    A = _CountingCsr(random_spd(n, rng, sparse=True))
+    mass = rng.uniform(0.5, 2.0, n)
+    mass[::3] = 0.0
+    B = sp.diags(mass, format="csr")
+    _, _, report = smallest_generalized_eigs(A, B, 4)
+    assert report.iterations > 7  # Krylov steps beyond the finish's 7 columns
+    assert _CountingProducts.products == 3
+    assert lengths == [np.count_nonzero(mass)] * 3
+
+
+def test_eigs_mass_of_rank_one_is_solver_failure(monkeypatch):
+    # B = u u^T is singular on its support (all 2,200 dofs): the solve ends as
+    # a SolverFailure with its report, never as an ARPACK or LinAlgError traceback
+    n = DENSE_CUTOFF + 200
+    rng = np.random.default_rng(11)
+    A = random_spd(n, rng, sparse=True)
+    u = rng.standard_normal(n)
+    B = sp.csr_matrix(np.outer(u, u))
+    with pytest.raises(SolverFailure) as info:
+        smallest_generalized_eigs(A, B, 2)
+    assert info.value.report.iterations > 0
+    assert not info.value.report.converged
+
+    # ARPACK's own report of a singular B inner product (info -9999) maps the same way
+    def arpack_breaks(A, k, **kwargs):
+        kwargs["OPinv"].matvec(kwargs["v0"])
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", arpack_breaks)
+    with pytest.raises(SolverFailure, match="ARPACK") as info:
+        smallest_generalized_eigs(A, sp.identity(n, format="csr"), 2)
+    assert info.value.report.iterations == 1
     assert not info.value.report.converged
 
 
