@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 any solver failure during the run, including
 unconverged eigenpairs (the failed level's column is NaN), 3 failed
 lower-bound check (--check-lower; the failed condition is named), 4 invalid
-configuration, including an unreadable or malformed --config file (nothing
-is run).
+configuration, including an unknown or unparsable ``run`` flag and an
+unreadable or malformed --config file (nothing is run).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import lab
+
 
 def _parse_bool(text: str) -> bool:
     value = text.lower()
@@ -59,9 +60,16 @@ def _load_config_file(path) -> dict:
     return out
 
 
+class _RunParser(argparse.ArgumentParser):
+    """A bad ``run`` flag is an invalid configuration, not a usage error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elastica")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_RunParser)
     run = sub.add_parser("run", help="run a benchmark experiment")
     run.add_argument("--experiment", choices=sorted(lab.EXPERIMENTS))
     run.add_argument("--method", choices=["wg", "cr"])
@@ -83,20 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# defaults of the run options outside ExperimentConfig, which holds the rest
 _DEFAULTS = {
     "experiment": "square",
-    "method": "wg",
-    "order": 1,
-    "nu": 0.49,
-    "E": 1.0,
-    "delta": 0.05,
-    "levels": "16,32,64",
-    "eigs": 4,
     "format": "csv",
     "out": "table.csv",
     "check_lower": False,
     "nus": None,
 }
+# keys that set the ExperimentConfig field of the same name; "eigs" sets num_eigs
+_FIELDS = {key: key for key in ("method", "order", "nu", "E", "delta", "levels")}
+_FIELDS["eigs"] = "num_eigs"
 
 
 def _configure(args):
@@ -104,7 +109,7 @@ def _configure(args):
     merged = dict(_DEFAULTS)
     if args.config:
         merged.update(_load_config_file(args.config))
-    for key in _DEFAULTS:
+    for key in _CFG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -112,17 +117,13 @@ def _configure(args):
         raise ValueError(f"unknown experiment {merged['experiment']!r}")
     if merged["format"] not in _FORMATS:
         raise ValueError(f"unknown format {merged['format']!r}")
+    if "levels" in merged:
+        merged["levels"] = _parse_levels(merged["levels"])
     domain, boundary = lab.EXPERIMENTS[merged["experiment"]]
     cfg = lab.ExperimentConfig(
         domain=domain,
         boundary=boundary,
-        method=merged["method"],
-        order=merged["order"],
-        E=merged["E"],
-        nu=merged["nu"],
-        delta=merged["delta"],
-        levels=_parse_levels(merged["levels"]),
-        num_eigs=merged["eigs"],
+        **{field: merged[key] for key, field in _FIELDS.items() if key in merged},
     )
     nus = [float(tok) for tok in (merged["nus"] or "").split(",") if tok]
     if len(nus) == 1:
@@ -133,8 +134,10 @@ def _configure(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         merged, cfg, nus = _configure(args)
     except (OSError, ValueError) as exc:
         print(f"elastica: invalid configuration: {exc}", file=sys.stderr)

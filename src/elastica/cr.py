@@ -35,8 +35,6 @@ __all__ = [
 class CrSpace:
     """Dof layout: edge-major, [x, y] per edge; Dirichlet edges constrained."""
 
-    sign_rows = None  # every free row takes part in an eigenvector's sign rule
-
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
 
@@ -171,7 +169,7 @@ def assemble_cr(
     Bloc[:, 1::2, 1::2] = Mscal
     B = scatter(Bloc, dof, n)
 
-    return AssembledSystem(A=A, B=B, free=space.free_dofs(), space=space)
+    return AssembledSystem(A=A, B=B, free=space.free_dofs())
 
 
 def jump_values(v: CrFunction, exactness: int = 4):

@@ -80,7 +80,10 @@ class ExperimentConfig:
         if self.order < 1:
             raise ValueError("WG order k must be >= 1")
         wg_mod.ElasticParams(E=self.E, nu=self.nu)  # checks E and nu
+        wg_mod.StabilizationConfig(delta=self.delta)  # checks delta
         levels = tuple(int(n) for n in self.levels)
+        if not levels:
+            raise ValueError("levels must not be empty")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         if any(n & (n - 1) for n in levels):

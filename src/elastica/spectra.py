@@ -6,11 +6,10 @@ mass lives on B's support r, the rows with a positive diagonal (the WG
 interior unknowns, every CR unknown), where B_rr is SPD.  A finite pair has
 x = g A^-1 B x, so x_r fixes it and solves A_c x_r = g B_rr x_r, with A_c
 the Schur complement of A onto r, whose inverse is (A^-1)_rr.  The solver
-works on that pencil, so B's kernel never enters it.  Below a size cutoff
-it solves eigh(A_c, B_rr) densely, which doubles as the test oracle.
+works on that pencil, so B's kernel never enters it.
 
-Above the cutoff A is factored once per call, then (Ericsson and Ruhe, Math.
-Comp. 35, 1980; Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
+A is factored once per call, then (Ericsson and Ruhe, Math. Comp. 35, 1980;
+Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
 
 1. Krylov phase: ARPACK in shift-invert mode (sigma = 0) on vectors of
    length |r| in the B_rr inner product.  Its operator (A^-1)_rr is one
@@ -25,7 +24,6 @@ Comp. 35, 1980; Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -38,7 +36,6 @@ from .errors import NotPositiveDefiniteError, SolverFailure
 
 __all__ = ["SolveReport", "SpdFactor", "factorize_spd", "smallest_generalized_eigs"]
 
-DENSE_CUTOFF = 2000
 # forming A x in floating point errs by up to about (nonzeros per row) * eps * |A| |x|
 ROUNDING = 100 * np.finfo(float).eps
 
@@ -46,8 +43,8 @@ ROUNDING = 100 * np.finfo(float).eps
 @dataclass
 class SolveReport:
     """iterations: solves with the factor of A counted as vectors, i.e. the
-    Krylov steps plus the width of the finishing block solve, 0 on the dense
-    path; residuals: ||A x - g B x|| / ||A x|| per pair, on the full A and B;
+    Krylov steps plus the width of the finishing block solve; residuals:
+    ||A x - g B x|| / ||A x|| per pair, on the full A and B;
     converged: every residual is within max(tol, 1e-8), or within
     ROUNDING * ||A||_1 ||x|| / ||A x|| where that rounding floor is larger (a
     stiff A, nu near 1/2)."""
@@ -63,8 +60,9 @@ class SolveReport:
 
 
 class SpdFactor:
-    """Factor of a symmetric matrix.  Only the dense path rejects a non-SPD
-    matrix here; factorize_spd checks both.
+    """Sparse LU factor of a symmetric matrix: MMD ordering on A + A^T,
+    symmetric mode, no diagonal pivoting.  It does not check definiteness;
+    factorize_spd does.
 
     solve takes one right-hand side or a block of them (columns).  By default
     it adds one step of iterative refinement, which keeps the residual near
@@ -74,26 +72,17 @@ class SpdFactor:
 
     def __init__(self, A):
         self._A = sp.csc_matrix(A)
-        if self._A.shape[0] <= DENSE_CUTOFF:
-            try:
-                chol = scipy.linalg.cho_factor(self._A.toarray())
-            except scipy.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(str(exc)) from exc
-            self._lu = None
-            self._solve = functools.partial(scipy.linalg.cho_solve, chol)
-        else:
-            self._lu = spla.splu(
-                self._A,
-                diag_pivot_thresh=0.0,
-                permc_spec="MMD_AT_PLUS_A",
-                options=dict(SymmetricMode=True),
-            )
-            self._solve = self._lu.solve
+        self._lu = spla.splu(
+            self._A,
+            diag_pivot_thresh=0.0,
+            permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True),
+        )
 
     def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
-        x = self._solve(b)
+        x = self._lu.solve(b)
         if refine:
-            x = x + self._solve(b - self._A @ x)
+            x = x + self._lu.solve(b - self._A @ x)
         return x
 
 
@@ -105,24 +94,12 @@ def factorize_spd(A) -> SpdFactor:
     therefore uses SpdFactor directly.
     """
     F = SpdFactor(A)
-    if F._lu is not None and np.any(F._lu.U.diagonal() <= 0):
+    if np.any(F._lu.U.diagonal() <= 0):
         raise NotPositiveDefiniteError("nonpositive pivot in factorization")
     return F
 
 
-def _dense_pair(A, B, r, m):
-    """m lowest pairs of eigh(A_c, B_rr), with x_s = -A_ss^-1 A_sr x_r off r."""
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    Bd = B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)
-    s = np.setdiff1d(np.arange(len(Ad)), r)
-    E = scipy.linalg.solve(Ad[np.ix_(s, s)], Ad[np.ix_(s, r)], assume_a="pos")
-    vals, X = scipy.linalg.eigh(Ad[np.ix_(r, r)] - Ad[np.ix_(r, s)] @ E, Bd[np.ix_(r, r)])
-    V = np.empty((len(Ad), len(r)))
-    V[r], V[s] = X, -E @ X
-    return vals[:m], V[:, :m]
-
-
-def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
+def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
     """m smallest finite eigenpairs of A x = g B x.
 
     Parameters
@@ -133,16 +110,16 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
     tol : ARPACK tolerance on the shift-inverted problem on B's support,
         whose eigenvalues are 1/g.
     seed : start-vector seed (results are deterministic per seed).
-    sign_rows : the sign of each vector is set by its largest-magnitude
-        entry among the first sign_rows rows (all rows by default).  Entries
-        within 1e-8 relative of that magnitude count as tied, and the first
-        of them decides, so round-off cannot flip a symmetric mode.
 
     Returns
     -------
-    (values, vectors, report): values ascending, vectors B-orthonormal with
-    the sign rule above.  Fewer than m finite eigenvalues, a B singular on
-    its support or an ARPACK error raise SolverFailure with the report.
+    (values, vectors, report): values ascending, vectors B-orthonormal.  The
+    sign of each vector is decided on B's support r: its largest-magnitude
+    entry there is positive.  Entries within 1e-8 relative of that magnitude
+    count as tied and the lowest index decides, so round-off cannot flip a
+    symmetric mode.  Fewer than m finite eigenvalues, a B singular on its
+    support, a nonpositive Rayleigh quotient (A not SPD) or an ARPACK error
+    raise SolverFailure with the report.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -158,54 +135,47 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0, sign_rows=None):
         wall = time.perf_counter() - t0
         return SolverFailure(message, SolveReport(applies, np.array([np.inf]), False, wall))
 
-    if n <= DENSE_CUTOFF:
-        try:
-            vals, V = _dense_pair(A, B, r, m)
-        except scipy.linalg.LinAlgError as exc:
-            raise failure(f"dense eigensolve on B's support failed: {exc}") from exc
+    factor = SpdFactor(A)
+    B = sp.csr_matrix(B)
+    Brr = B[r][:, r]
+    pad = np.zeros(n)
+
+    def apply_inverse(x):
+        # (A^-1)_rr x: one bare solve on x padded with zeros outside r
+        nonlocal applies
+        applies += 1
+        pad[r] = x
+        return factor.solve(pad, refine=False)[r]
+
+    if len(r) <= m + 3:
+        X = np.eye(len(r))  # too few unknowns for ARPACK's m + 3 vectors: all of r
     else:
-        factor = SpdFactor(A)
-        B = sp.csr_matrix(B)
-        Brr = B[r][:, r]
-        pad = np.zeros(n)
-
-        def apply_inverse(x):
-            # (A^-1)_rr x: one bare solve on x padded with zeros outside r
-            nonlocal applies
-            applies += 1
-            pad[r] = x
-            return factor.solve(pad, refine=False)[r]
-
-        if len(r) <= m + 3:
-            X = np.eye(len(r))  # too few unknowns for ARPACK's m + 3 vectors: all of r
-        else:
-            op = spla.LinearOperator((len(r), len(r)), matvec=apply_inverse, dtype=float)
-            v0 = np.random.default_rng(seed).standard_normal(len(r))
-            try:
-                # in shift-invert mode eigsh reads only the shape of its first argument
-                _, X = spla.eigsh(op, m + 3, M=Brr, sigma=0, OPinv=op, which="LM", tol=tol, v0=v0)
-            except spla.ArpackError as exc:
-                raise failure(f"ARPACK failed on B's support: {exc}") from exc
-        # finish: one refined block inverse-iteration step, then Rayleigh-Ritz
-        # on the exact pencil; ascending g, vectors B-orthonormal
-        rhs = np.zeros((n, X.shape[1]))
-        rhs[r] = Brr @ X
-        Y = factor.solve(rhs)
-        applies += Y.shape[1]
+        op = spla.LinearOperator((len(r), len(r)), matvec=apply_inverse, dtype=float)
+        v0 = np.random.default_rng(seed).standard_normal(len(r))
         try:
-            vals, W = scipy.linalg.eigh(Y.T @ (A @ Y), Y.T @ (B @ Y))
-        except scipy.linalg.LinAlgError as exc:
-            raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
-        vals, V = vals[:m], Y @ W[:, :m]
+            # in shift-invert mode eigsh reads only the shape of its first argument
+            _, X = spla.eigsh(op, m + 3, M=Brr, sigma=0, OPinv=op, which="LM", tol=tol, v0=v0)
+        except spla.ArpackError as exc:
+            raise failure(f"ARPACK failed on B's support: {exc}") from exc
+    # finish: one refined block inverse-iteration step, then Rayleigh-Ritz
+    # on the exact pencil; ascending g, vectors B-orthonormal
+    rhs = np.zeros((n, X.shape[1]))
+    rhs[r] = Brr @ X
+    Y = factor.solve(rhs)
+    applies += Y.shape[1]
+    try:
+        vals, W = scipy.linalg.eigh(Y.T @ (A @ Y), Y.T @ (B @ Y))
+    except scipy.linalg.LinAlgError as exc:
+        raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
+    vals, V = vals[:m], Y @ W[:, :m]
     if len(vals) < m:
         raise failure(f"only {len(vals)} finite eigenvalues available")
     if np.any(vals <= 0):
-        raise SolverFailure("nonpositive Rayleigh quotient; check matrix PSD-ness")
+        raise failure("nonpositive Rayleigh quotient; check matrix PSD-ness")
 
-    # both paths return ascending values and B-orthonormal vectors; fix signs
     for j in range(m):
-        lead = np.abs(V[:sign_rows, j])
-        if V[np.argmax(lead >= (1.0 - 1e-8) * lead.max()), j] < 0:
+        lead = np.abs(V[r, j])
+        if V[r[np.argmax(lead >= (1.0 - 1e-8) * lead.max())], j] < 0:
             V[:, j] *= -1.0
 
     Ax = A @ V

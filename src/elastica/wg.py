@@ -108,12 +108,6 @@ class WgSpace:
         return self.mesh.num_edges * 2 * self.nke
 
     @property
-    def sign_rows(self) -> int:
-        """Leading free rows that fix an eigenvector's sign: the interior
-        dofs, which are never constrained and so lead the free set."""
-        return self.num_interior_dofs
-
-    @property
     def num_dofs(self) -> int:
         return self.num_interior_dofs + self.num_edge_dofs
 
@@ -182,7 +176,6 @@ class AssembledSystem:
     A: sp.csr_matrix
     B: sp.csr_matrix
     free: np.ndarray
-    space: object  # the WgSpace or cr.CrSpace that numbers the dofs
 
 
 @dataclass
@@ -377,7 +370,7 @@ def assemble_forms(
     Bloc[:, nk:, nk:] = Mphi
     B = scatter(Bloc, gidx[:, np.r_[0:nk, ns:ns + nk]], space.num_dofs)
 
-    return AssembledSystem(A=A, B=B, free=space.free_dofs(), space=space)
+    return AssembledSystem(A=A, B=B, free=space.free_dofs())
 
 
 def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
@@ -419,14 +412,13 @@ def solve_eigen(
 ) -> EigenResult:
     """m smallest eigenpairs of a WG or CR system, b-normalized.
 
-    Each vector has its largest-magnitude coefficient among the space's
-    sign_rows positive: WG vectors their largest interior coefficient, CR
-    vectors their largest coefficient.
+    Each vector has its largest-magnitude coefficient on the mass support
+    positive: WG vectors their largest interior coefficient, CR vectors their
+    largest coefficient.
     """
     free = sys.free
     vals, V, report = spectra.smallest_generalized_eigs(
-        sys.A[np.ix_(free, free)], sys.B[np.ix_(free, free)], m,
-        tol=tol, seed=seed, sign_rows=sys.space.sign_rows,
+        sys.A[np.ix_(free, free)], sys.B[np.ix_(free, free)], m, tol=tol, seed=seed
     )
     full = np.zeros((sys.A.shape[0], m))
     full[free, :] = V

@@ -171,9 +171,16 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
         (["--levels", "2,4"], "format = xls\n"),
         (["--levels", "2,4"], "check_lower = ture\n"),
         (["--levels", "2,4", "--config", "missing.cfg"], None),
+        (["--levels", "2,4", "--method", "fem"], None),
+        (["--levels", "2,4", "--order", "abc"], None),
+        (["--levels", "2,x"], None),
+        (["--levels", "2,4", "--bogus", "1"], None),
+        (["--levels", "2,4", "--delta", "-1"], None),
+        (["--levels", ""], None),
     ],
     ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "cfg-experiment",
-         "cfg-format", "cfg-check-lower", "missing-cfg"],
+         "cfg-format", "cfg-check-lower", "missing-cfg", "flag-method", "flag-order",
+         "flag-levels", "flag-unknown", "delta", "no-levels"],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     monkeypatch.chdir(tmp_path)

@@ -59,11 +59,16 @@ def test_config_validation():
         ExperimentConfig(levels=(3, 6))
     with pytest.raises(ValueError):
         ExperimentConfig(num_eigs=0)
-    # checked before any meshing: Poisson ratio and WG order
+    # checked before any meshing: Poisson ratio, WG order, stabilization
+    # exponent and an empty ladder
     with pytest.raises(ValueError):
         ExperimentConfig(nu=0.5)
     with pytest.raises(ValueError):
         ExperimentConfig(order=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(delta=-1.0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(levels=())
 
 
 def test_run_experiment_small_and_deterministic():

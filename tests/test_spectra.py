@@ -8,12 +8,7 @@ import scipy.sparse.linalg as spla
 
 from elastica import ElasticParams, StabilizationConfig, WgSpace, assemble_forms
 from elastica.errors import NotPositiveDefiniteError, SolverFailure
-from elastica.spectra import (
-    DENSE_CUTOFF,
-    SpdFactor,
-    factorize_spd,
-    smallest_generalized_eigs,
-)
+from elastica.spectra import SpdFactor, factorize_spd, smallest_generalized_eigs
 
 from conftest import lshape, square
 
@@ -57,8 +52,8 @@ def test_factor_rejects_indefinite():
 
 
 def test_factor_rejects_indefinite_large():
-    # sparse path (above the dense cutoff) probes curvature
-    n = DENSE_CUTOFF + 100
+    # a negative pivot deep inside a larger factor
+    n = 2100
     d = np.ones(n)
     d[n // 2] = -1.0
     with pytest.raises(NotPositiveDefiniteError):
@@ -66,7 +61,7 @@ def test_factor_rejects_indefinite_large():
 
 
 def test_factor_large_sparse_residual():
-    n = DENSE_CUTOFF + 500
+    n = 2500
     rng = np.random.default_rng(8)
     A = random_spd(n, rng, sparse=True)
     b = rng.standard_normal(n)
@@ -107,7 +102,7 @@ def test_eigs_match_dense_oracle_n50():
 
 
 def test_eigs_sparse_path_matches_dense_oracle():
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(3)
     A = random_spd(n, rng, sparse=True)
     B = sp.identity(n, format="csr")
@@ -118,7 +113,7 @@ def test_eigs_sparse_path_matches_dense_oracle():
 
 
 def test_eigs_seed_independence():
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(4)
     A = random_spd(n, rng, sparse=True)
     B = sp.identity(n, format="csr")
@@ -160,7 +155,7 @@ def test_eigs_sparse_path_factors_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, "splu", counted)
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(5)
     A = random_spd(n, rng, sparse=True)
     mass = rng.uniform(0.5, 2.0, n)
@@ -172,14 +167,20 @@ def test_eigs_sparse_path_factors_once(monkeypatch):
     theta = scipy.linalg.eigh(B.toarray(), A.toarray(), eigvals_only=True)
     ref = np.sort(1.0 / theta[-4:])
     assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
-    # the dense path applies no operator
-    assert smallest_generalized_eigs(A[:50, :50], B[:50, :50], 2)[2].iterations == 0
+    # a 50-dof problem takes the same path: one SPD factor and nothing else
+    calls.clear()
+    A50, B50 = A[:50, :50], B[:50, :50]
+    vals, _, report = smallest_generalized_eigs(A50, B50, 2)
+    assert calls == [spla.__name__]
+    theta = scipy.linalg.eigh(B50.toarray(), A50.toarray(), eigvals_only=True)
+    ref = np.sort(1.0 / theta[-2:])
+    assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
 
 
 def test_sign_rule_ties_decided_by_lowest_index():
     # the lowest mode is (e_i - e_j) / sqrt(2): two entries of equal magnitude
     # and opposite sign, so round-off must not pick the one that fixes the sign
-    n = DENSE_CUTOFF + 200
+    n = 2200
     i, j = 10, 1500
     d = np.random.default_rng(6).uniform(3.0, 4.0, n)
     d[[i, j]] = 2.0
@@ -192,7 +193,26 @@ def test_sign_rule_ties_decided_by_lowest_index():
         assert V[i, 0] > 0 > V[j, 0]
 
 
-@pytest.mark.parametrize("n", [40, DENSE_CUTOFF + 300], ids=["dense", "sparse"])
+def test_sign_rule_decided_on_mass_support():
+    # B's support r is every third row, so not the leading rows.  The lowest
+    # mode lives on rows 1 (off r) and 3 (on r) with x_1 = -2 x_3: its largest
+    # entry lies off r and has the opposite sign, so the sign follows x_3
+    n = 30
+    d = np.linspace(10.0, 20.0, n)
+    d[[1, 3]] = [0.5, 4.0]
+    A = sp.diags(d, format="lil")
+    A[1, 3] = A[3, 1] = 1.0
+    mass = np.zeros(n)
+    mass[0::3] = 1.0
+    B = sp.diags(mass, format="csr")
+    vals, V, _ = smallest_generalized_eigs(A.tocsr(), B, 2)
+    assert vals[0] == pytest.approx(4.0 - 1.0 / 0.5, rel=1e-10)  # Schur complement on row 3
+    x = V[:, 0]
+    assert np.argmax(np.abs(x)) == 1
+    assert x[3] > 0 > x[1]
+
+
+@pytest.mark.parametrize("n", [40, 2300], ids=["dense", "sparse"])
 @pytest.mark.parametrize("refine", [True, False])
 def test_block_solve_matches_columnwise(n, refine):
     rng = np.random.default_rng(12)
@@ -206,15 +226,15 @@ def test_block_solve_matches_columnwise(n, refine):
 
 
 def _wg_sparse_path_matches_dense(mesh, nu):
-    # a real WG k=1 system just above the dense cutoff, with its singular mass
+    # a real WG k=1 system of 2,000 to 2,500 free dofs, with its singular mass
     space = WgSpace(mesh, 1)
     sys_ = assemble_forms(space, ElasticParams(E=1.0, nu=nu), StabilizationConfig())
     free = sys_.free
     A = sys_.A[np.ix_(free, free)]
     B = sys_.B[np.ix_(free, free)]
     n = A.shape[0]
-    assert DENSE_CUTOFF < n < DENSE_CUTOFF + 500
-    vals, V, report = smallest_generalized_eigs(A, B, 4, sign_rows=space.sign_rows)
+    assert 2000 < n < 2500
+    vals, V, report = smallest_generalized_eigs(A, B, 4)
     assert report.iterations > 0  # the sparse path ran
     theta = scipy.linalg.eigh(
         B.toarray(), A.toarray(), eigvals_only=True, subset_by_index=[n - 4, n - 1]
@@ -250,7 +270,7 @@ def test_eigs_sparse_path_factor_applications(monkeypatch):
 
     original = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: CountingLU(original(*a, **kw)))
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(5)
     A = random_spd(n, rng, sparse=True)
     mass = rng.uniform(0.5, 2.0, n)
@@ -269,7 +289,7 @@ def test_eigs_sparse_path_factor_applications(monkeypatch):
 def test_eigs_sparse_path_mass_of_low_rank():
     # B has rank 3 < k = m + 3: the Ritz vectors in B's kernel carry no finite
     # eigenvalue and are left out of the finish; asking for more than 3 fails
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(7)
     A = random_spd(n, rng, sparse=True)
     mass = np.zeros(n)
@@ -292,7 +312,7 @@ def test_eigs_rayleigh_ritz_failure_is_solver_failure(monkeypatch):
         raise scipy.linalg.LinAlgError("the leading minor of order 3 is not positive")
 
     monkeypatch.setattr(scipy.linalg, "eigh", not_definite)
-    n = DENSE_CUTOFF + 200
+    n = 2200
     A = random_spd(n, np.random.default_rng(7), sparse=True)
     B = sp.identity(n, format="csr")
     with pytest.raises(SolverFailure, match="Rayleigh-Ritz") as info:
@@ -341,7 +361,7 @@ def test_eigs_sparse_path_multiplies_a_only_in_finish_and_check(monkeypatch):
         return original_eigsh(A, k, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", spying_eigsh)
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(5)
     A = _CountingCsr(random_spd(n, rng, sparse=True))
     mass = rng.uniform(0.5, 2.0, n)
@@ -356,7 +376,7 @@ def test_eigs_sparse_path_multiplies_a_only_in_finish_and_check(monkeypatch):
 def test_eigs_mass_of_rank_one_is_solver_failure(monkeypatch):
     # B = u u^T is singular on its support (all 2,200 dofs): the solve ends as
     # a SolverFailure with its report, never as an ARPACK or LinAlgError traceback
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(11)
     A = random_spd(n, rng, sparse=True)
     u = rng.standard_normal(n)
@@ -378,11 +398,22 @@ def test_eigs_mass_of_rank_one_is_solver_failure(monkeypatch):
     assert not info.value.report.converged
 
 
+def test_eigs_indefinite_a_is_solver_failure():
+    # nothing rejects an indefinite A before the solve: its negative
+    # eigenvalue shows as a nonpositive Rayleigh quotient, and the failure
+    # carries its report like every other
+    d = np.arange(1.0, 21.0)
+    d[4] = -1.0
+    with pytest.raises(SolverFailure, match="nonpositive Rayleigh") as info:
+        smallest_generalized_eigs(sp.diags(d, format="csr"), sp.identity(20, format="csr"), 2)
+    assert not info.value.report.converged
+
+
 def test_converged_bound_follows_the_rounding_floor():
     # a stiff penalty t G^T G (like the lambda term as nu -> 1/2) ties dof
     # pairs together; forming A x then loses about eps * t, so the residual
     # of an accurate pair sits far above 1e-8 and must still count as converged
-    n = DENSE_CUTOFF + 200
+    n = 2200
     rng = np.random.default_rng(13)
     K = random_spd(n, rng, sparse=True)
     pairs = np.repeat(np.arange(n // 2), 2)

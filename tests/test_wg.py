@@ -242,7 +242,7 @@ def test_solve_eigen_synthetic_diagonal():
     d[free] = [2.0, 3.0]
     A = sp.diags(d, format="csr")
     B = sp.identity(space.num_dofs, format="csr")
-    sys = AssembledSystem(A=A, B=B, free=free, space=space)
+    sys = AssembledSystem(A=A, B=B, free=free)
     res = solve_eigen(sys, 2)
     assert np.allclose(res.eigenvalues, [2.0, 3.0], atol=1e-12)
     assert np.allclose(res.frequencies, np.sqrt([2.0, 3.0]), atol=1e-12)
