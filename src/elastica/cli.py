@@ -23,29 +23,39 @@ def _parse_bool(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-_CFG_KEYS = {
-    "experiment": str,
-    "method": str,
-    "order": int,
-    "nu": float,
-    "E": float,
-    "delta": float,
-    "levels": str,
-    "eigs": int,
-    "format": str,
-    "out": str,
-    "nus": str,
-    "check_lower": _parse_bool,
+def _one_of(*names):
+    def convert(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+
+    return convert
+
+
+def _numbers(kind):
+    return lambda text: tuple(kind(tok) for tok in text.replace(" ", "").split(",") if tok)
+
+
+# run option -> (converter of its text from a flag or the config file, --help)
+_KEYS = {
+    "experiment": (_one_of(*sorted(lab.EXPERIMENTS)), ", ".join(sorted(lab.EXPERIMENTS))),
+    "method": (_one_of("wg", "cr"), "wg or cr"),
+    "order": (int, "WG polynomial order k"),
+    "nu": (float, "Poisson ratio"),
+    "E": (float, "Young's modulus"),
+    "delta": (float, "stabilization exponent"),
+    "levels": (_numbers(int), "comma-separated list of n (h=1/n)"),
+    "eigs": (int, "number of eigenpairs"),
+    "format": (_one_of("csv", "md"), "csv or md"),
+    "out": (str, "output file path"),
+    "nus": (_numbers(float), "comma-separated Poisson ratios for a locking sweep"),
+    "check_lower": (_parse_bool, "fail (exit 3) unless the gamma ladder is monotone "
+                                 "and below its Richardson limit"),
 }
-
-_FORMATS = ("csv", "md")
-
-
-def _parse_levels(text: str):
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
 def _load_config_file(path) -> dict:
+    """key = value lines of a config file, values as text."""
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -54,9 +64,9 @@ def _load_config_file(path) -> dict:
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CFG_KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            out[key] = _CFG_KEYS[key](value.strip())
+            out[key] = value.strip()
     return out
 
 
@@ -71,23 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elastica")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_RunParser)
     run = sub.add_parser("run", help="run a benchmark experiment")
-    run.add_argument("--experiment", choices=sorted(lab.EXPERIMENTS))
-    run.add_argument("--method", choices=["wg", "cr"])
-    run.add_argument("--order", type=int, help="WG polynomial order k")
-    run.add_argument("--nu", type=float, help="Poisson ratio")
-    run.add_argument("--E", type=float, help="Young's modulus")
-    run.add_argument("--delta", type=float, help="stabilization exponent")
-    run.add_argument("--levels", type=str, help="comma-separated list of n (h=1/n)")
-    run.add_argument("--eigs", type=int, help="number of eigenpairs")
-    run.add_argument("--format", choices=_FORMATS)
-    run.add_argument("--out", type=str, help="output file path")
-    run.add_argument("--check-lower", action="store_true", default=None,
-                     dest="check_lower",
-                     help="fail (exit 3) unless the gamma ladder is monotone and "
-                          "below its Richardson limit")
-    run.add_argument("--nus", type=str,
-                     help="comma-separated Poisson ratios for a locking sweep")
-    run.add_argument("--config", type=str, help="key=value config file")
+    for key, (convert, text) in _KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if convert is _parse_bool:  # a bare flag switches it on
+            run.add_argument(flag, dest=key, action="store_const", const="true", help=text)
+        else:
+            run.add_argument(flag, dest=key, help=text)
+    run.add_argument("--config", help="key=value config file")
     return parser
 
 
@@ -97,7 +97,7 @@ _DEFAULTS = {
     "format": "csv",
     "out": "table.csv",
     "check_lower": False,
-    "nus": None,
+    "nus": (),
 }
 # keys that set the ExperimentConfig field of the same name; "eigs" sets num_eigs
 _FIELDS = {key: key for key in ("method", "order", "nu", "E", "delta", "levels")}
@@ -106,26 +106,21 @@ _FIELDS["eigs"] = "num_eigs"
 
 def _configure(args):
     """Merge defaults, the config file and flags; raise on any invalid value."""
+    raw = _load_config_file(args.config) if args.config else {}
+    raw.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
     merged = dict(_DEFAULTS)
-    if args.config:
-        merged.update(_load_config_file(args.config))
-    for key in _CFG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if merged["experiment"] not in lab.EXPERIMENTS:
-        raise ValueError(f"unknown experiment {merged['experiment']!r}")
-    if merged["format"] not in _FORMATS:
-        raise ValueError(f"unknown format {merged['format']!r}")
-    if "levels" in merged:
-        merged["levels"] = _parse_levels(merged["levels"])
+    for key, value in raw.items():
+        try:
+            merged[key] = _KEYS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     domain, boundary = lab.EXPERIMENTS[merged["experiment"]]
     cfg = lab.ExperimentConfig(
         domain=domain,
         boundary=boundary,
         **{field: merged[key] for key, field in _FIELDS.items() if key in merged},
     )
-    nus = [float(tok) for tok in (merged["nus"] or "").split(",") if tok]
+    nus = merged["nus"]
     if len(nus) == 1:
         raise ValueError("locking sweep needs at least two Poisson ratios")
     for nu in nus:

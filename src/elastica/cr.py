@@ -139,26 +139,14 @@ def assemble_cr(
     )
     K = K.reshape(nt, 6, 6)
 
-    dof = (2 * m.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
-    blocks, idx = [K], [dof]
-
-    # interior-edge jump penalty gamma(h) * 2 mu / h_e
-    ie = m.interior_edges
-    if len(ie):
-        _, pts, w = edge_quadrature(m, 4)
-        pts_ie, w_ie = pts[ie], w[ie]
-        tp, tm = m.edge_tris[ie, 0], m.edge_tris[ie, 1]
-        theta_p = space.basis_at(tp, pts_ie)  # (nie, nq, 3)
-        theta_m = space.basis_at(tm, pts_ie)
-        J = np.concatenate([theta_p, -theta_m], axis=2)  # (nie, nq, 6)
-        scale = gam * 2.0 * mu / m.edge_lengths()[ie]
-        P = np.einsum("e,eq,eqa,eqb->eab", scale, w_ie, J, J)
-        edof = np.concatenate([m.tri_edges[tp], m.tri_edges[tm]], axis=1)  # (nie, 6)
-        blocks += [P, P]
-        idx += [2 * edof, 2 * edof + 1]
+    # interior-edge jump penalty gamma(h) * 2 mu / h_e, one block per component
+    ie, J, w_ie, edof = _jumps(space, 4)
+    scale = gam * 2.0 * mu / m.edge_lengths()[ie]
+    P = np.einsum("e,eq,eqa,eqb->eab", scale, w_ie, J, J)
 
     n = space.num_dofs
-    A = scatter(np.concatenate(blocks), np.concatenate(idx), n)
+    dof = (2 * m.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
+    A = scatter(np.concatenate([K, P, P]), np.concatenate([dof, 2 * edof, 2 * edof + 1]), n)
     A = 0.5 * (A + A.T)
 
     cpts, cw = cell_quadrature(m, 2)
@@ -172,22 +160,30 @@ def assemble_cr(
     return AssembledSystem(A=A, B=B, free=space.free_dofs())
 
 
+def _jumps(space: CrSpace, exactness: int):
+    """Jump map [v] = v|T+ - v|T- across the interior edges.
+
+    Returns (edge_ids, J (nie, nq, 6), weights (nie, nq), edof (nie, 6)):
+    J maps the edge means at edof, the edges of T+ then of T-, to the jump
+    of either component at the quadrature points.
+    """
+    m = space.mesh
+    ie = m.interior_edges
+    _, pts, w = edge_quadrature(m, exactness)
+    pts_ie = pts[ie]
+    tp, tm = m.edge_tris[ie, 0], m.edge_tris[ie, 1]
+    J = np.concatenate([space.basis_at(tp, pts_ie), -space.basis_at(tm, pts_ie)], axis=2)
+    edof = np.concatenate([m.tri_edges[tp], m.tri_edges[tm]], axis=1)
+    return ie, J, w[ie], edof
+
+
 def jump_values(v: CrFunction, exactness: int = 4):
     """Jumps across interior edges at quadrature points.
 
     Returns (edge_ids, jumps (nie, nq, 2), weights (nie, nq)).
     """
-    m = v.space.mesh
-    ie = m.interior_edges
-    _, pts, w = edge_quadrature(m, exactness)
-    pts_ie, w_ie = pts[ie], w[ie]
-    tp, tm = m.edge_tris[ie, 0], m.edge_tris[ie, 1]
-    theta_p = v.space.basis_at(tp, pts_ie)
-    theta_m = v.space.basis_at(tm, pts_ie)
-    c = v.edge_means()
-    vp = np.einsum("eql,elc->eqc", theta_p, c[m.tri_edges[tp]])
-    vm = np.einsum("eql,elc->eqc", theta_m, c[m.tri_edges[tm]])
-    return ie, vp - vm, w_ie
+    ie, J, w_ie, edof = _jumps(v.space, exactness)
+    return ie, np.einsum("eqa,eac->eqc", J, v.edge_means()[edof]), w_ie
 
 
 def cr_norm(v: CrFunction, params: ElasticParams) -> float:

@@ -65,7 +65,6 @@ class ExperimentConfig:
     delta: float = 0.05
     levels: tuple = (16, 32, 64)
     num_eigs: int = 4
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -86,8 +85,8 @@ class ExperimentConfig:
             raise ValueError("levels must not be empty")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if any(n & (n - 1) for n in levels):
-            raise ValueError("levels must be powers of two")
+        if any(n < 1 or n & (n - 1) for n in levels):
+            raise ValueError("levels must be positive powers of two")
         object.__setattr__(self, "levels", levels)
 
 
@@ -143,7 +142,7 @@ def solve_level(cfg: ExperimentConfig, n: int) -> wg_mod.EigenResult:
         sys = wg_mod.assemble_forms(wg_mod.WgSpace(mesh, cfg.order), params, stab)
     else:
         sys = cr_mod.assemble_cr(cr_mod.CrSpace(mesh), params, stab)
-    return wg_mod.solve_eigen(sys, cfg.num_eigs, tol=cfg.tol, seed=cfg.seed)
+    return wg_mod.solve_eigen(sys, cfg.num_eigs, seed=cfg.seed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateTable:

@@ -62,7 +62,7 @@ class SolveReport:
 class SpdFactor:
     """Sparse LU factor of a symmetric matrix: MMD ordering on A + A^T,
     symmetric mode, no diagonal pivoting.  It does not check definiteness;
-    factorize_spd does.
+    factorize_spd does.  An exactly singular A raises NotPositiveDefiniteError.
 
     solve takes one right-hand side or a block of them (columns).  By default
     it adds one step of iterative refinement, which keeps the residual near
@@ -72,12 +72,15 @@ class SpdFactor:
 
     def __init__(self, A):
         self._A = sp.csc_matrix(A)
-        self._lu = spla.splu(
-            self._A,
-            diag_pivot_thresh=0.0,
-            permc_spec="MMD_AT_PLUS_A",
-            options=dict(SymmetricMode=True),
-        )
+        try:
+            self._lu = spla.splu(
+                self._A,
+                diag_pivot_thresh=0.0,
+                permc_spec="MMD_AT_PLUS_A",
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NotPositiveDefiniteError(f"A is singular: {exc}") from exc
 
     def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
         x = self._lu.solve(b)
@@ -118,8 +121,8 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
     entry there is positive.  Entries within 1e-8 relative of that magnitude
     count as tied and the lowest index decides, so round-off cannot flip a
     symmetric mode.  Fewer than m finite eigenvalues, a B singular on its
-    support, a nonpositive Rayleigh quotient (A not SPD) or an ARPACK error
-    raise SolverFailure with the report.
+    support, a singular A, a nonpositive Rayleigh quotient (A not SPD) or an
+    ARPACK error raise SolverFailure with the report.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -135,7 +138,10 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
         wall = time.perf_counter() - t0
         return SolverFailure(message, SolveReport(applies, np.array([np.inf]), False, wall))
 
-    factor = SpdFactor(A)
+    try:
+        factor = SpdFactor(A)
+    except NotPositiveDefiniteError as exc:
+        raise failure(str(exc)) from exc
     B = sp.csr_matrix(B)
     Brr = B[r][:, r]
     pad = np.zeros(n)

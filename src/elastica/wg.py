@@ -16,6 +16,7 @@ unknowns; the eigensolver works on its support, the interior (see spectra).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,8 @@ class ElasticParams:
     nu: float = 0.49
 
     def __post_init__(self):
-        if self.E <= 0:
-            raise ValueError("Young's modulus must be positive")
+        if not 0.0 < self.E < math.inf:
+            raise ValueError("Young's modulus must be positive and finite")
         if not 0.0 < self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in (0, 0.5)")
 
@@ -74,8 +75,8 @@ class StabilizationConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("stabilization exponent must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("stabilization exponent must be positive and finite")
 
     def gamma(self, h: float) -> float:
         return float(h) ** self.delta
@@ -87,6 +88,7 @@ class WgSpace:
     Interior dofs come first, element-major, as [x-coeffs, y-coeffs]
     blocks of the cell basis; edge dofs follow, edge-major, likewise per
     component.  Dirichlet edge blocks are excluded from the free set.
+    local_dofs() is the one per-element view of this layout.
     """
 
     def __init__(self, mesh: Mesh, order: int):
@@ -97,6 +99,7 @@ class WgSpace:
         self.nk = cell_basis_dim(order)       # dim P_k(T)
         self.nk1 = cell_basis_dim(order - 1)  # dim P_{k-1}(T)
         self.nke = order + 1                  # dim P_k(e)
+        self.ns = self.nk + 3 * self.nke      # local scalar dofs per component
         self._pack = None
 
     @property
@@ -111,13 +114,20 @@ class WgSpace:
     def num_dofs(self) -> int:
         return self.num_interior_dofs + self.num_edge_dofs
 
+    def edge_dofs(self, edges) -> np.ndarray:
+        """Global dofs of the given edges, shape (..., 2, k+1): [x | y] per edge."""
+        comp = np.arange(2)[:, None] * self.nke + np.arange(self.nke)
+        return self.num_interior_dofs + edges[..., None, None] * 2 * self.nke + comp
+
+    def local_dofs(self) -> np.ndarray:
+        """Global dof of each local scalar dof, (nt, 2, ns): [cell | edge0 | edge1 | edge2]."""
+        nt = self.mesh.num_triangles
+        cell = np.arange(nt * 2 * self.nk).reshape(nt, 2, self.nk)
+        edge = self.edge_dofs(self.mesh.tri_edges).transpose(0, 2, 1, 3)  # (nt, 2, 3, nke)
+        return np.concatenate([cell, edge.reshape(nt, 2, 3 * self.nke)], axis=2)
+
     def dirichlet_dofs(self) -> np.ndarray:
-        base = self.num_interior_dofs
-        dir_edges = self.mesh.dirichlet_edges
-        if len(dir_edges) == 0:
-            return np.empty(0, dtype=np.int64)
-        offs = base + dir_edges[:, None] * (2 * self.nke) + np.arange(2 * self.nke)
-        return offs.ravel()
+        return self.edge_dofs(self.mesh.dirichlet_edges).ravel()
 
     def free_dofs(self) -> np.ndarray:
         mask = np.ones(self.num_dofs, dtype=bool)
@@ -160,13 +170,7 @@ class WgFunction:
 
     def local_scalar_dofs(self) -> np.ndarray:
         """Per-element scalar dofs [cell | edge0 | edge1 | edge2], (nt, 2, ns)."""
-        s = self.space
-        ge = s.mesh.tri_edges
-        cb = self.edge()[ge]  # (nt, 3, 2, nke)
-        return np.concatenate(
-            [self.interior(), cb.transpose(0, 2, 1, 3).reshape(len(ge), 2, -1)],
-            axis=2,
-        )
+        return self.coeffs[self.space.local_dofs()]
 
 
 @dataclass
@@ -217,34 +221,38 @@ def _build_pack(space: WgSpace) -> dict:
     chi = EdgeBasis(k).evaluate(tparams)  # (nqe, nke)
     ge = m.tri_edges
     nt = m.num_triangles
-    nqe = len(tparams)
 
     ep_loc = epts[ge]            # (nt, 3, nqe, 2)
     ew_loc = ew[ge]              # (nt, 3, nqe)
-    flat = ep_loc.reshape(nt, 3 * nqe, 2)
-    phi_e = bk.evaluate(flat).reshape(nt, 3, nqe, space.nk)
-    psi_e = bk1.evaluate(flat).reshape(nt, 3, nqe, space.nk1)
+    flat = ep_loc.reshape(nt, -1, 2)
+    phi_e = bk.evaluate(flat).reshape(ew_loc.shape + (space.nk,))
+    psi_e = bk1.evaluate(flat).reshape(ew_loc.shape + (space.nk1,))
     nrm = m.outward_normals()    # (nt, 3, 2)
 
     # Te[t, l, p, mm] = <chi_mm, psi_p>_e
     Te = np.einsum("tlq,tlqp,qm->tlpm", ew_loc, psi_e, chi)
 
-    ns = space.nk + 3 * space.nke
     # weak-derivative maps G_j : local scalar dofs -> P_{k-1} coefficients
-    N = np.zeros((2, nt, space.nk1, ns))
-    N[:, :, :, : space.nk] = -Aj
-    for l in range(3):
-        cols = slice(space.nk + l * space.nke, space.nk + (l + 1) * space.nke)
-        for j in range(2):
-            N[j, :, :, cols] = nrm[:, l, j][:, None, None] * Te[:, l]
-    G = np.linalg.solve(Mpsi[None, :, :, :], N)
+    Nb = np.einsum("tlj,tlpm->jtplm", nrm, Te).reshape(2, nt, space.nk1, 3 * space.nke)
+    G = np.linalg.solve(Mpsi[None, :, :, :], np.concatenate([-Aj, Nb], axis=3))
 
     return {
-        "pts": pts, "w": w, "phi": phi, "dphi": dphi, "psi": psi,
-        "dpsi": dpsi, "Mpsi": Mpsi, "Mphi": Mphi, "chi": chi,
-        "ew_loc": ew_loc, "phi_e": phi_e, "nrm": nrm, "G": G, "ns": ns,
-        "tparams": tparams, "epts": epts, "ew": ew,
+        "pts": pts, "w": w, "phi": phi, "dphi": dphi, "dpsi": dpsi,
+        "Mpsi": Mpsi, "Mphi": Mphi, "chi": chi, "epts": epts, "ew_loc": ew_loc,
+        "phi_e": phi_e, "psi_e": psi_e, "nrm": nrm, "G": G,
     }
+
+
+def _trace_jump(space: WgSpace, l: int) -> np.ndarray:
+    """Map (nt, nqe, ns) from local scalar dofs to v0 - vb at the quadrature
+    points of local edge l: phi_e on the cell columns, -chi on edge l's.
+    """
+    p = space.pack()
+    phi_e, chi, nk, nke = p["phi_e"][:, l], p["chi"], space.nk, space.nke
+    J = np.zeros(phi_e.shape[:2] + (space.ns,))
+    J[:, :, :nk] = phi_e
+    J[:, :, nk + l * nke:nk + (l + 1) * nke] = -chi
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +295,8 @@ def _field_numerators(f, m: Mesh, k: int):
     fe_loc = fe[m.tri_edges]  # (nt, 3, nqe, 2)
     # -(f_i, dpsi_p/dx_j)_T + <f_i, psi_p n_j>_dT
     cell = -np.einsum("tq,tqc,tqpj->tcjp", p["w"], fv, p["dpsi"])
-    cen = m.centroids()
-    h = m.h_per_element
-    psi_e = CellBasis(k - 1, cen, h).evaluate(
-        p["epts"][m.tri_edges].reshape(m.num_triangles, -1, 2)
-    ).reshape(m.num_triangles, 3, -1, space.nk1)
     edge = np.einsum(
-        "tlq,tlqc,tlqp,tlj->tcjp", p["ew_loc"], fe_loc, psi_e, p["nrm"]
+        "tlq,tlqc,tlqp,tlj->tcjp", p["ew_loc"], fe_loc, p["psi_e"], p["nrm"]
     )
     return space, cell + edge
 
@@ -328,7 +331,7 @@ def assemble_forms(
 
     p = space.pack()
     nt = m.num_triangles
-    nk, nke, ns = space.nk, space.nke, p["ns"]
+    nk, ns = space.nk, space.ns
     mu, lam = params.mu, params.lam
     gam = stab.gamma(m.h_global)
 
@@ -342,16 +345,9 @@ def assemble_forms(
 
     # stabilization: gamma(h) h_T^{-1} <v0 - vb, w0 - wb>_dT per component
     S = np.zeros((nt, ns, ns))
-    ew_loc, phi_e, chi = p["ew_loc"], p["phi_e"], p["chi"]
-    Scc = np.einsum("tlq,tlqa,tlqb->tab", ew_loc, phi_e, phi_e)
-    S[:, :nk, :nk] += Scc
     for l in range(3):
-        cols = slice(nk + l * nke, nk + (l + 1) * nke)
-        Sce = np.einsum("tq,tqa,qm->tam", ew_loc[:, l], phi_e[:, l], chi)
-        See = np.einsum("tq,qm,qn->tmn", ew_loc[:, l], chi, chi)
-        S[:, :nk, cols] -= Sce
-        S[:, cols, :nk] -= Sce.transpose(0, 2, 1)
-        S[:, cols, cols] += See
+        J = _trace_jump(space, l)
+        S += np.einsum("tq,tqa,tqb->tab", p["ew_loc"][:, l], J, J)
     S *= (gam / m.h_per_element)[:, None, None]
 
     K = np.zeros((nt, 2 * ns, 2 * ns))
@@ -361,14 +357,11 @@ def assemble_forms(
     K[:, ns:, :ns] = Kxy.transpose(0, 2, 1)
     K = 0.5 * (K + K.transpose(0, 2, 1))
 
-    gidx = _local_dof_indices(space)  # (nt, 2*ns)
-    A = scatter(K, gidx, space.num_dofs)
-
-    Mphi = p["Mphi"]
-    Bloc = np.zeros((nt, 2 * nk, 2 * nk))
-    Bloc[:, :nk, :nk] = Mphi
-    Bloc[:, nk:, nk:] = Mphi
-    B = scatter(Bloc, gidx[:, np.r_[0:nk, ns:ns + nk]], space.num_dofs)
+    gidx = space.local_dofs()  # (nt, 2, ns)
+    A = scatter(K, gidx.reshape(nt, 2 * ns), space.num_dofs)
+    # one P_k mass block per element and component
+    Bidx = gidx[:, :, :nk].reshape(2 * nt, nk)
+    B = scatter(np.repeat(p["Mphi"], 2, axis=0), Bidx, space.num_dofs)
 
     return AssembledSystem(A=A, B=B, free=space.free_dofs())
 
@@ -381,35 +374,11 @@ def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _local_dof_indices(space: WgSpace) -> np.ndarray:
-    """Global dof index of each local dof, layout [x-scalars, y-scalars]."""
-    m = space.mesh
-    nt = m.num_triangles
-    nk, nke, ns = space.nk, space.nke, space.nk + 3 * space.nke
-    ge = m.tri_edges
-    base = space.num_interior_dofs
-    gidx = np.empty((nt, 2 * ns), dtype=np.int64)
-    elem = np.arange(nt)
-    for comp in range(2):
-        off = comp * ns
-        gidx[:, off:off + nk] = (
-            elem[:, None] * 2 * nk + comp * nk + np.arange(nk)
-        )
-        for l in range(3):
-            cols = slice(off + nk + l * nke, off + nk + (l + 1) * nke)
-            gidx[:, cols] = (
-                base + ge[:, l][:, None] * 2 * nke + comp * nke + np.arange(nke)
-            )
-    return gidx
-
-
 # ---------------------------------------------------------------------------
 # solvers and norms
 
 
-def solve_eigen(
-    sys: AssembledSystem, m: int, tol: float = 1e-10, seed: int = 0
-) -> EigenResult:
+def solve_eigen(sys: AssembledSystem, m: int, seed: int = 0) -> EigenResult:
     """m smallest eigenpairs of a WG or CR system, b-normalized.
 
     Each vector has its largest-magnitude coefficient on the mass support
@@ -418,7 +387,7 @@ def solve_eigen(
     """
     free = sys.free
     vals, V, report = spectra.smallest_generalized_eigs(
-        sys.A[np.ix_(free, free)], sys.B[np.ix_(free, free)], m, tol=tol, seed=seed
+        sys.A[np.ix_(free, free)], sys.B[np.ix_(free, free)], m, seed=seed
     )
     full = np.zeros((sys.A.shape[0], m))
     full[free, :] = V
@@ -464,13 +433,13 @@ def norms(v: WgFunction, params: ElasticParams) -> tuple[float, float]:
     dv = weak_divergence(v)
     div_sq = np.einsum("tp,tpq,tq->", dv, p["Mpsi"], dv)
 
-    trace0 = np.einsum("tca,tlqa->tlqc", c0, p["phi_e"])
-    cb = v.edge()[space.mesh.tri_edges]  # (nt, 3, 2, nke)
-    traceb = np.einsum("tlcm,qm->tlqc", cb, p["chi"])
-    diff = trace0 - traceb
-    jump_sq = np.einsum(
-        "t,tlq,tlqc,tlqc->", 1.0 / space.mesh.h_per_element, p["ew_loc"], diff, diff
-    )
+    loc = v.local_scalar_dofs()
+    jump_sq = 0.0
+    for l in range(3):
+        diff = np.einsum("tqs,tcs->tqc", _trace_jump(space, l), loc)
+        jump_sq += np.einsum(
+            "t,tq,tqc,tqc->", 1.0 / space.mesh.h_per_element, p["ew_loc"][:, l], diff, diff
+        )
 
     vnorm = np.sqrt(strain_sq + params.lam * div_sq + jump_sq)
     xnorm = np.sqrt(np.einsum("tca,tab,tcb->", c0, p["Mphi"], c0))

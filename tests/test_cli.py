@@ -177,10 +177,16 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
         (["--levels", "2,4", "--bogus", "1"], None),
         (["--levels", "2,4", "--delta", "-1"], None),
         (["--levels", ""], None),
+        (["--levels", "0,2"], None),
+        (["--levels", "2,4", "--E", "inf"], None),
+        (["--levels", "2,4", "--E", "nan"], None),
+        (["--levels", "2,4", "--delta", "inf"], None),
+        (["--levels", "2,4", "--delta", "nan"], None),
     ],
     ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "cfg-experiment",
          "cfg-format", "cfg-check-lower", "missing-cfg", "flag-method", "flag-order",
-         "flag-levels", "flag-unknown", "delta", "no-levels"],
+         "flag-levels", "flag-unknown", "delta", "no-levels", "zero-level", "E-inf",
+         "E-nan", "delta-inf", "delta-nan"],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     monkeypatch.chdir(tmp_path)

@@ -116,6 +116,22 @@ def test_jump_zero_for_continuous_affine():
     assert np.abs(jumps).max() <= 1e-13
 
 
+def test_penalty_is_the_jump_energy_of_jump_values():
+    # A depends on delta only through gamma(h) 2 mu sum_e h_e^-1 ||[v]||_e^2,
+    # the jump energy of the jumps cr_norm reads
+    m = square(4, boundary="bottom")
+    space = CrSpace(m)
+    stabs = StabilizationConfig(delta=0.05), StabilizationConfig(delta=2.0)
+    A1, A2 = (assemble_cr(space, PARAMS, s).A for s in stabs)
+    v = CrFunction(space, np.random.default_rng(5).standard_normal(space.num_dofs))
+    ie, jumps, w = jump_values(v)
+    energy = np.einsum("e,eq,eqc,eqc->", 1.0 / m.edge_lengths()[ie], w, jumps, jumps)
+    gap = stabs[0].gamma(m.h_global) - stabs[1].gamma(m.h_global)
+    assert v.coeffs @ ((A1 - A2) @ v.coeffs) == pytest.approx(
+        gap * 2.0 * PARAMS.mu * energy, rel=1e-12
+    )
+
+
 def test_assembled_matrices_symmetric_and_definite():
     m = square(4, boundary="bottom")
     sys = assemble_cr(CrSpace(m), PARAMS, STAB)

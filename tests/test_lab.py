@@ -69,6 +69,14 @@ def test_config_validation():
         ExperimentConfig(delta=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(levels=())
+    # level 0 and non-finite E or delta
+    with pytest.raises(ValueError):
+        ExperimentConfig(levels=(0, 2))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ExperimentConfig(E=bad)
+        with pytest.raises(ValueError):
+            ExperimentConfig(delta=bad)
 
 
 def test_run_experiment_small_and_deterministic():

@@ -60,6 +60,13 @@ def test_factor_rejects_indefinite_large():
         factorize_spd(sp.diags(d, format="csr"))
 
 
+def test_factor_rejects_singular():
+    # SuperLU stops at the exactly zero pivot; that is no SPD matrix either
+    A = sp.diags(np.r_[0.0, np.arange(1.0, 60.0)], format="csr")
+    with pytest.raises(NotPositiveDefiniteError, match="singular"):
+        factorize_spd(A)
+
+
 def test_factor_large_sparse_residual():
     n = 2500
     rng = np.random.default_rng(8)
@@ -407,6 +414,14 @@ def test_eigs_indefinite_a_is_solver_failure():
     with pytest.raises(SolverFailure, match="nonpositive Rayleigh") as info:
         smallest_generalized_eigs(sp.diags(d, format="csr"), sp.identity(20, format="csr"), 2)
     assert not info.value.report.converged
+
+
+def test_eigs_singular_a_is_solver_failure():
+    A = sp.diags(np.r_[0.0, np.arange(1.0, 60.0)], format="csr")
+    with pytest.raises(SolverFailure, match="singular") as info:
+        smallest_generalized_eigs(A, sp.identity(60, format="csr"), 2)
+    assert not info.value.report.converged
+    assert info.value.report.iterations == 0
 
 
 def test_converged_bound_follows_the_rounding_floor():

@@ -20,6 +20,7 @@ from elastica.project import (
 )
 from elastica.wg import (
     AssembledSystem,
+    _trace_jump,
     norms,
     weak_divergence,
     weak_divergence_of_field,
@@ -27,7 +28,7 @@ from elastica.wg import (
     weak_gradient_of_field,
     weak_strain,
 )
-from conftest import PolyField, square
+from conftest import PolyField, lshape, square
 
 
 PARAMS = ElasticParams(E=1.0, nu=0.3)
@@ -65,6 +66,51 @@ def test_space_dof_counts():
         assert len(space.free_dofs()) + len(space.dirichlet_dofs()) == space.num_dofs
     with pytest.raises(ValueError):
         WgSpace(m, 0)
+
+
+def _loop_local_dofs(space):
+    # reference layout written out per component and local edge
+    m = space.mesh
+    nk, nke = space.nk, space.nke
+    ref = np.empty((m.num_triangles, 2, nk + 3 * nke), dtype=np.int64)
+    for t in range(m.num_triangles):
+        for comp in range(2):
+            ref[t, comp, :nk] = t * 2 * nk + comp * nk + np.arange(nk)
+            for l in range(3):
+                e = m.tri_edges[t, l]
+                ref[t, comp, nk + l * nke:nk + (l + 1) * nke] = (
+                    space.num_interior_dofs + e * 2 * nke + comp * nke + np.arange(nke)
+                )
+    return ref
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mesh", [square(2), lshape(2)], ids=["square", "lshape"])
+def test_local_dofs_match_loop_reference(mesh, k):
+    space = WgSpace(mesh, k)
+    assert np.array_equal(space.local_dofs(), _loop_local_dofs(space))
+    # each Dirichlet edge constrains its 2 (k + 1) consecutive dofs
+    block = 2 * (k + 1)
+    want = space.num_interior_dofs + mesh.dirichlet_edges[:, None] * block + np.arange(block)
+    assert np.array_equal(space.dirichlet_dofs(), want.ravel())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stabilizer_is_the_jump_energy_of_the_norm(k):
+    # a_w depends on delta only through gamma(h) times the jump energy,
+    # sum_T h_T^-1 ||v0 - vb||_dT^2, that norms takes from the same map
+    m = square(4)
+    space = WgSpace(m, k)
+    stabs = StabilizationConfig(delta=0.05), StabilizationConfig(delta=2.0)
+    A1, A2 = (assemble_forms(space, PARAMS, s).A for s in stabs)
+    v = WgFunction(space, np.random.default_rng(k).standard_normal(space.num_dofs))
+    loc, ew_loc = v.local_scalar_dofs(), space.pack()["ew_loc"]
+    energy = 0.0
+    for l in range(3):
+        d = np.einsum("tqs,tcs->tqc", _trace_jump(space, l), loc)
+        energy += np.einsum("t,tq,tqc,tqc->", 1 / m.h_per_element, ew_loc[:, l], d, d)
+    gap = stabs[0].gamma(m.h_global) - stabs[1].gamma(m.h_global)
+    assert v.coeffs @ ((A1 - A2) @ v.coeffs) == pytest.approx(gap * energy, rel=1e-12)
 
 
 def test_weak_gradient_of_identity_field():
