@@ -1,10 +1,10 @@
 """Command line front end: ``elastica run ...``.
 
-Exit codes: 0 success, 2 any solver failure during the run, including
-unconverged eigenpairs (the failed level's column is NaN), 3 failed
-lower-bound check (--check-lower; the failed condition is named), 4 invalid
-configuration, including an unknown or unparsable ``run`` flag and an
-unreadable or malformed --config file (nothing is run).
+Exit codes: 0 success, 2 any solver failure during the run, at any swept nu,
+including unconverged eigenpairs (the failed level's column is NaN), 3 failed
+lower-bound check (--check-lower, on every swept nu; the condition and nu are
+named), 4 invalid configuration, including an unknown or unparsable ``run``
+flag and an unreadable or malformed --config file (nothing is run).
 """
 
 from __future__ import annotations
@@ -140,25 +140,31 @@ def main(argv=None) -> int:
 
     if nus:
         sweep = lab.locking_sweep(cfg, nus)
-        table = sweep["tables"][nus[0]]
+        # message tag -> table, one per nu; the first is written
+        tables = {f" (nu={nu})": sweep["tables"][nu] for nu in nus}
         dev = sweep["max_rel_deviation"]
         print("max relative eigenfrequency deviation across nu values:")
         for j in range(dev.shape[0]):
             row = "  ".join(f"{d:.3e}" for d in dev[j])
             print(f"  omega_{j + 1}: {row}")
     else:
-        table = lab.run_experiment(cfg)
+        tables = {"": lab.run_experiment(cfg)}
 
-    lab.emit(table, merged["format"], merged["out"])
+    lab.emit(next(iter(tables.values())), merged["format"], merged["out"])
     print(f"wrote {merged['out']}")
-    if table.failures:
-        for level, msg in sorted(table.failures.items()):
-            print(f"solver failure at level {level}: {msg}", file=sys.stderr)
+    failed = [
+        f"solver failure at level {level}{tag}: {msg}"
+        for tag, table in tables.items()
+        for level, msg in sorted(table.failures.items())
+    ]
+    if failed:
+        print("\n".join(failed), file=sys.stderr)
         return 2
     if merged["check_lower"]:
-        reason = lab.lower_bound_violation(table)
-        if reason is not None:
-            print(f"lower-bound check failed: {reason}", file=sys.stderr)
+        reasons = {tag: lab.lower_bound_violation(table) for tag, table in tables.items()}
+        failed = [f"lower-bound check failed{tag}: {why}" for tag, why in reasons.items() if why]
+        if failed:
+            print("\n".join(failed), file=sys.stderr)
             return 3
     return 0
 

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .errors import NotPositiveDefiniteError, SolverFailure
 
@@ -59,10 +60,20 @@ class SolveReport:
         return float(np.max(self.residuals))
 
 
+def _bandwidth(A, q) -> int:
+    """max |q[i] - q[j]| over the stored entries (i, j) of a CSR matrix."""
+    i = np.repeat(np.arange(A.shape[0], dtype=q.dtype), np.diff(A.indptr))
+    return int(np.abs(q[i] - q[A.indices]).max(initial=0))
+
+
 class SpdFactor:
     """Sparse LU factor of a symmetric matrix: MMD ordering on A + A^T,
     symmetric mode, no diagonal pivoting.  It does not check definiteness;
     factorize_spd does.  An exactly singular A raises NotPositiveDefiniteError.
+
+    MMD breaks ties by index, so a scattered numbering fills more (George and
+    Liu, SIAM Review 31, 1989): when the Cuthill-McKee order at least halves
+    A's bandwidth, A is factored in that order.  Its pivots are A's reordered.
 
     solve takes one right-hand side or a block of them (columns).  By default
     it adds one step of iterative refinement, which keeps the residual near
@@ -71,10 +82,20 @@ class SpdFactor:
     solves, as the eigensolver's Krylov phase does."""
 
     def __init__(self, A):
-        self._A = sp.csc_matrix(A)
+        A = sp.csr_matrix(A)
+        # the forward Cuthill-McKee order p; q[i] is the new index of unknown i
+        p = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)[::-1]
+        q = np.empty_like(p)
+        q[p] = self._p = self._q = np.arange(len(p), dtype=p.dtype)
+        if 2 * _bandwidth(A, q) <= _bandwidth(A, self._q):
+            # P A P^T in one copy of A: renumber the columns, go to CSC, renumber the rows
+            A = sp.csr_matrix((A.data, q[A.indices], A.indptr), shape=A.shape).tocsc()
+            A = sp.csc_matrix((A.data, q[A.indices], A.indptr), shape=A.shape)
+            self._p, self._q = p, q
+        self._A = A = sp.csc_matrix(A)
         try:
             self._lu = spla.splu(
-                self._A,
+                A,
                 diag_pivot_thresh=0.0,
                 permc_spec="MMD_AT_PLUS_A",
                 options=dict(SymmetricMode=True),
@@ -83,10 +104,11 @@ class SpdFactor:
             raise NotPositiveDefiniteError(f"A is singular: {exc}") from exc
 
     def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
+        b = b[self._p]
         x = self._lu.solve(b)
         if refine:
             x = x + self._lu.solve(b - self._A @ x)
-        return x
+        return x[self._q]
 
 
 def factorize_spd(A) -> SpdFactor:

@@ -371,7 +371,9 @@ def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
     d = idx.shape[1]
     rows = np.repeat(idx, d, axis=1).ravel()
     cols = np.tile(idx, (1, d)).ravel()
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    A = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    A.eliminate_zeros()  # no stored zeros; dropped after the sum, whose order stays
+    return A
 
 
 # ---------------------------------------------------------------------------

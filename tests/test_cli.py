@@ -5,6 +5,7 @@ import pytest
 
 from elastica import ExperimentConfig, RateTable
 from elastica import cli, lab
+from elastica.errors import SolverFailure
 
 
 def run_cli(args):
@@ -70,6 +71,44 @@ def test_locking_sweep_output(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "max relative eigenfrequency deviation" in captured
     assert out.exists()
+
+
+def test_sweep_failure_at_a_later_nu_fails_the_run(tmp_path, monkeypatch, capsys):
+    # the written table is the first nu's; a failure at any other nu still exits 2
+    solve = lab.solve_level
+
+    def failing(cfg, n):
+        if cfg.nu == 0.35 and n == 4:
+            raise SolverFailure("ARPACK failed on B's support: injected")
+        return solve(cfg, n)
+
+    monkeypatch.setattr(lab, "solve_level", failing)
+    out = tmp_path / "sweep.csv"
+    code = run_cli(["--levels", "2,4", "--eigs", "1", "--nus", "0.3,0.35", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "solver failure at level 4 (nu=0.35): ARPACK failed on B's support: injected\n"
+    _, omegas, _ = lab.parse_csv(out)
+    assert np.all(np.isfinite(omegas))  # the nu=0.3 table
+
+
+def test_sweep_check_lower_runs_on_every_nu(tmp_path, monkeypatch, capsys):
+    # gamma_1 drops from n=2 to n=4 at the second nu only
+    solve = lab.solve_level
+
+    def dropping(cfg, n):
+        res = solve(cfg, n)
+        if cfg.nu == 0.35 and n == 4:
+            res = dataclasses.replace(res, eigenvalues=0.5 * res.eigenvalues)
+        return res
+
+    monkeypatch.setattr(lab, "solve_level", dropping)
+    args = ["--levels", "2,4", "--eigs", "1", "--out", str(tmp_path / "s.csv")]
+    assert run_cli(args + ["--nus", "0.3,0.4", "--check-lower"]) == 0
+    assert run_cli(args + ["--nus", "0.3,0.35", "--check-lower"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("lower-bound check failed (nu=0.35): gamma_1 drops by ")
+    assert err.count("\n") == 1
 
 
 def test_check_lower_failure_exit_code(tmp_path):

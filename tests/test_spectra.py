@@ -232,6 +232,42 @@ def test_block_solve_matches_columnwise(n, refine):
     assert np.abs(block - columns).max() <= 1e-14 * np.abs(columns).max()
 
 
+def grid_laplacian(nx):
+    # the 5-point Dirichlet Laplacian on an nx x nx grid, natural order: bandwidth nx
+    T = sp.diags([-np.ones(nx - 1), 4.0 * np.ones(nx), -np.ones(nx - 1)], [-1, 0, 1])
+    S = sp.diags([-np.ones(nx - 1), -np.ones(nx - 1)], [-1, 1])
+    return (sp.kron(sp.identity(nx), T) + sp.kron(S, sp.identity(nx))).tocsr()
+
+
+def test_factor_renumbers_a_scattered_matrix():
+    # a random renumbering of a banded matrix is factored in Cuthill-McKee
+    # order, which cuts the fill MMD leaves on the scattered order; the banded
+    # original keeps its own order
+    banded = grid_laplacian(50)
+    n = banded.shape[0]
+    rng = np.random.default_rng(13)
+    p = rng.permutation(n)
+    scattered = banded[p][:, p]
+    as_given = spla.splu(
+        scattered.tocsc(),
+        diag_pivot_thresh=0.0,
+        permc_spec="MMD_AT_PLUS_A",
+        options=dict(SymmetricMode=True),
+    )
+    F, G = factorize_spd(banded), factorize_spd(scattered)
+    assert np.array_equal(F._p, np.arange(n))
+    assert not np.array_equal(G._p, np.arange(n))
+    assert G._lu.nnz < as_given.nnz
+    b = rng.standard_normal((n, 3))
+    for A, factor in ((banded, F), (scattered, G)):
+        ref = np.linalg.solve(A.toarray(), b)
+        for rhs, x_ref in ((b[:, 0], ref[:, 0]), (b, ref)):
+            for refine in (True, False):
+                x = factor.solve(rhs, refine=refine)
+                assert x.shape == rhs.shape
+                assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
 def _wg_sparse_path_matches_dense(mesh, nu):
     # a real WG k=1 system of 2,000 to 2,500 free dofs, with its singular mass
     space = WgSpace(mesh, 1)

@@ -8,6 +8,7 @@ from elastica import (
     StabilizationConfig,
     WgFunction,
     WgSpace,
+    assemble_cr,
     assemble_forms,
     build_square_mesh,
     solve_eigen,
@@ -28,6 +29,7 @@ from elastica.wg import (
     weak_gradient_of_field,
     weak_strain,
 )
+from elastica import cr as cr_mod, wg as wg_mod
 from conftest import PolyField, lshape, square
 
 
@@ -215,6 +217,34 @@ def test_assembled_matrices_symmetric(k):
         diff = (M - M.T).tocoo()
         scale = np.abs(M.data).max()
         assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("method, k", [("wg", 1), ("wg", 2), ("wg", 3), ("cr", 1)])
+def test_assembly_stores_no_zeros(monkeypatch, method, k):
+    # scatter drops exact zeros only after the COO -> CSR sum, so every stored
+    # value is the plain sum of the same blocks in the same order, bit for bit
+    module = wg_mod if method == "wg" else cr_mod
+    scatter = module.scatter
+    scattered = []
+
+    def checked(blocks, idx, n):
+        M = scatter(blocks, idx, n)
+        d = idx.shape[1]
+        rows, cols = np.repeat(idx, d, axis=1).ravel(), np.tile(idx, (1, d)).ravel()
+        plain = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        assert np.array_equal(M.toarray(), plain.toarray())
+        scattered.append(M)
+        return M
+
+    monkeypatch.setattr(module, "scatter", checked)
+    m = square(4)
+    if method == "wg":
+        sys = assemble_forms(WgSpace(m, k), PARAMS, STAB)
+    else:
+        sys = assemble_cr(CrSpace(m), PARAMS, STAB)
+    assert len(scattered) == 2  # A and B
+    for M in scattered + [sys.A, sys.B]:
+        assert np.all(M.data != 0)
 
 
 def test_mass_matrix_zero_on_edge_dofs():
