@@ -4,12 +4,14 @@ Exit codes: 0 success, 2 any solver failure during the run, at any swept nu,
 including unconverged eigenpairs (the failed level's column is NaN), 3 failed
 lower-bound check (--check-lower, on every swept nu; the condition and nu are
 named), 4 invalid configuration, including an unknown or unparsable ``run``
-flag and an unreadable or malformed --config file (nothing is run).
+flag, an unreadable or malformed --config file and an --out path that cannot
+be written (nothing is run).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -125,6 +127,11 @@ def _configure(args):
         raise ValueError("locking sweep needs at least two Poisson ratios")
     for nu in nus:
         replace(cfg, nu=nu)  # checks each swept Poisson ratio before any solve
+    out = merged["out"]
+    if os.path.isdir(out):
+        raise ValueError(f"out: {out!r} is a directory")
+    if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
+        raise ValueError(f"out: the directory of {out!r} is missing or not writable")
     return merged, cfg, nus
 
 

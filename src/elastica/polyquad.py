@@ -2,7 +2,9 @@
 
 Cell bases are monomials in the centroid-scaled coordinates
 ((x - x_T)/h_T, (y - y_T)/h_T), which keeps local Gram matrices well
-conditioned for the low orders used here.  Edge bases are monomials in the
+conditioned for the low orders used here.  They are ordered by total degree,
+so P_{k-1} is the leading block of P_k, and differentiation maps P_k into
+that block through a constant integer matrix.  Edge bases are monomials in the
 arclength parameter mapped to [-1, 1].  Quadrature on the reference
 triangle {x, y >= 0, x + y <= 1} uses a Duffy-collapsed tensor Gauss rule,
 exact to any requested degree.
@@ -33,7 +35,7 @@ def cell_basis_dim(k: int) -> int:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points/weights pair with a certified exactness degree.
+    """Points/weights pair of a quadrature rule.
 
     Triangle rules live on the reference triangle (points shape (nq, 2),
     weights summing to 1/2); edge rules live on [-1, 1].
@@ -41,7 +43,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
 
 def triangle_rule(exactness: int) -> QuadratureRule:
@@ -62,11 +63,7 @@ def triangle_rule(exactness: int) -> QuadratureRule:
     W = np.outer(wu, wu) * (1.0 - U)
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
-    return QuadratureRule(
-        points=np.stack([x, y], axis=1),
-        weights=W.ravel(),
-        exactness_degree=exactness,
-    )
+    return QuadratureRule(points=np.stack([x, y], axis=1), weights=W.ravel())
 
 
 def edge_rule(exactness: int) -> QuadratureRule:
@@ -75,7 +72,7 @@ def edge_rule(exactness: int) -> QuadratureRule:
         raise ValueError("exactness degree must be >= 0")
     npt = exactness // 2 + 1
     t, w = np.polynomial.legendre.leggauss(npt)
-    return QuadratureRule(points=t, weights=w, exactness_degree=exactness)
+    return QuadratureRule(points=t, weights=w)
 
 
 class CellBasis:
@@ -116,21 +113,18 @@ class CellBasis:
         b = self.exponents[:, 1]
         return xi[..., 0:1] ** a * xi[..., 1:2] ** b
 
-    def evaluate_gradient(self, points: np.ndarray) -> np.ndarray:
-        """Basis gradients at physical points, shape (ne, nq, dim, 2)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 2:
-            pts = np.broadcast_to(pts, (len(self.centroids),) + pts.shape)
-        xi = (pts - self.centroids[:, None, :]) / self.diameters[:, None, None]
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        x = xi[..., 0:1]
-        y = xi[..., 1:2]
-        with np.errstate(invalid="ignore"):
-            dx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y ** b, 0.0)
-            dy = np.where(b > 0, b * x ** a * y ** np.maximum(b - 1, 0), 0.0)
-        scale = self.diameters[:, None, None]
-        return np.stack([dx / scale, dy / scale], axis=-1)
+    def derivatives(self) -> np.ndarray:
+        """Differentiation matrices D (2, dim, dim), the same on every element:
+        d phi_a / dx_j = h_T^{-1} sum_b D[j, b, a] phi_b, with b in the leading
+        P_{k-1} block."""
+        D = np.zeros((2, self.dim, self.dim))
+        for j in range(2):
+            power = self.exponents[:, j]
+            a = np.nonzero(power)[0]
+            lower = self.exponents[a] - np.eye(2, dtype=np.int64)[j]
+            d = lower.sum(axis=1)
+            D[j, d * (d + 1) // 2 + lower[:, 1], a] = power[a]
+        return D
 
 
 class EdgeBasis:

@@ -15,7 +15,9 @@ coordinate arrays of a common shape and returns an array of shape
 
 All projections solve local Gram systems with quadrature-assembled
 right-hand sides at exactness 2k+2, hence they are exact on polynomial
-inputs of degree up to k+2.
+inputs of degree up to k+2.  The cell projections of order k read one cell
+table, built by ``_cell_setup`` and shared with the WG pack: the P_{k-1}
+projections use leading slices of its P_k values and Gram matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from ._quadmap import cell_quadrature, edge_quadrature
 from .errors import DegenerateElementError
 from .mesh import Mesh
-from .polyquad import CellBasis, EdgeBasis
+from .polyquad import CellBasis, EdgeBasis, cell_basis_dim
 
 __all__ = [
     "project_cell",
@@ -36,19 +38,36 @@ __all__ = [
 ]
 
 
-def _solve_gram(G, rhs):
+def _solve_gram(G, mom):
+    """Coefficients c, shape (n, ..., dim), of G c = mom per entity and component."""
+    rhs = mom.reshape(len(mom), -1, G.shape[-1]).transpose(0, 2, 1)
     try:
-        return np.linalg.solve(G, rhs)
+        sol = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateElementError("singular local Gram matrix") from exc
+    return sol.transpose(0, 2, 1).reshape(mom.shape)
 
 
-def _cell_setup(m: Mesh, degree: int, exactness: int):
-    pts, w = cell_quadrature(m, exactness)
-    basis = CellBasis(degree, m.centroids(), m.h_per_element)
-    phi = basis.evaluate(pts)  # (nt, nq, dim)
-    gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-    return pts, w, phi, gram
+def _cell_setup(m: Mesh, k: int) -> dict:
+    """Cell table of order k: quadrature exact to degree 2k+2, the P_k basis,
+    its values phi (nt, nq, dim P_k) and Gram matrices Mphi (nt, dim, dim)."""
+    pts, w = cell_quadrature(m, 2 * k + 2)
+    basis = CellBasis(k, m.centroids(), m.h_per_element)
+    phi = basis.evaluate(pts)
+    Mphi = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
+    return {"basis": basis, "pts": pts, "w": w, "phi": phi, "Mphi": Mphi}
+
+
+def _cell_moments(f, table) -> np.ndarray:
+    """Moments (f, phi_a)_T against the table's basis, shape (nt, ..., dim P_k)."""
+    pts = table["pts"]
+    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    return np.einsum("tq,tqa,tq...->t...a", table["w"], table["phi"], vals)
+
+
+def _project(f, table, dim: int) -> np.ndarray:
+    """L2 projection onto the leading dim basis functions, shape (nt, ..., dim)."""
+    return _solve_gram(table["Mphi"][:, :dim, :dim], _cell_moments(f, table)[..., :dim])
 
 
 def project_cell(f, m: Mesh, k: int) -> np.ndarray:
@@ -56,10 +75,7 @@ def project_cell(f, m: Mesh, k: int) -> np.ndarray:
 
     Returns coefficients of shape (nt, 2, dim P_k).
     """
-    pts, w, phi, gram = _cell_setup(m, k, 2 * k + 2)
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    rhs = np.einsum("tq,tqi,tqc->tic", w, phi, vals)
-    return _solve_gram(gram, rhs).transpose(0, 2, 1)
+    return _project(f, _cell_setup(m, k), cell_basis_dim(k))
 
 
 def project_cell_scalar(f, m: Mesh, k: int) -> np.ndarray:
@@ -69,10 +85,7 @@ def project_cell_scalar(f, m: Mesh, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("scheme order k must be >= 1")
-    pts, w, phi, gram = _cell_setup(m, k - 1, 2 * k + 2)
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    rhs = np.einsum("tq,tqi,tq->ti", w, phi, vals)
-    return _solve_gram(gram, rhs[..., None])[..., 0]
+    return _project(f, _cell_setup(m, k), cell_basis_dim(k - 1))
 
 
 def project_cell_matrix(F, m: Mesh, k: int) -> np.ndarray:
@@ -82,12 +95,7 @@ def project_cell_matrix(F, m: Mesh, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("scheme order k must be >= 1")
-    pts, w, phi, gram = _cell_setup(m, k - 1, 2 * k + 2)
-    vals = np.asarray(F(pts[..., 0], pts[..., 1]), dtype=float)
-    rhs = np.einsum("tq,tqi,tqab->tabi", w, phi, vals)
-    nt, dim = gram.shape[0], gram.shape[1]
-    sol = _solve_gram(gram, rhs.reshape(nt, 4, dim).transpose(0, 2, 1))
-    return sol.transpose(0, 2, 1).reshape(nt, 2, 2, dim)
+    return _project(F, _cell_setup(m, k), cell_basis_dim(k - 1))
 
 
 def project_edge(f, m: Mesh, k: int) -> np.ndarray:
@@ -97,12 +105,10 @@ def project_edge(f, m: Mesh, k: int) -> np.ndarray:
     parameterization.
     """
     t, pts, w = edge_quadrature(m, 2 * k + 2)
-    basis = EdgeBasis(k)
-    chi = basis.evaluate(t)  # (nqe, k+1)
+    chi = EdgeBasis(k).evaluate(t)  # (nqe, k+1)
     gram = np.einsum("eq,qi,qj->eij", w, chi, chi)
     vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    rhs = np.einsum("eq,qi,eqc->eic", w, chi, vals)
-    return _solve_gram(gram, rhs).transpose(0, 2, 1)
+    return _solve_gram(gram, np.einsum("eq,qi,eqc->eci", w, chi, vals))
 
 
 def project_global(f, space) -> "WgFunction":  # noqa: F821
@@ -113,7 +119,7 @@ def project_global(f, space) -> "WgFunction":  # noqa: F821
     """
     from .wg import WgFunction
 
-    cell = project_cell(f, space.mesh, space.order)
+    cell = _project(f, space.pack(), space.nk)
     edge = project_edge(f, space.mesh, space.order)
     coeffs = np.empty(space.num_dofs)
     coeffs[: space.num_interior_dofs] = cell.reshape(-1)

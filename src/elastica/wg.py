@@ -23,9 +23,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import spectra
-from ._quadmap import cell_quadrature, edge_quadrature
+from ._quadmap import edge_quadrature
 from .mesh import Mesh
-from .polyquad import CellBasis, EdgeBasis, cell_basis_dim
+from .polyquad import EdgeBasis, cell_basis_dim
+from .project import _cell_moments, _cell_setup, _solve_gram
 
 __all__ = [
     "ElasticParams",
@@ -198,47 +199,37 @@ class EigenResult:
 
 
 def _build_pack(space: WgSpace) -> dict:
+    """_cell_setup's table plus the weak-derivative data; P_{k-1} is the leading
+    block of P_k, so psi = phi[..., :nk1] and Mpsi = Mphi[:, :nk1, :nk1]."""
     m = space.mesh
-    k = space.order
-    exact = 2 * k + 2
-
-    pts, w = cell_quadrature(m, exact)
-    cen = m.centroids()
+    k, nk1 = space.order, space.nk1
     h = m.h_per_element
-    bk = CellBasis(k, cen, h)
-    bk1 = CellBasis(k - 1, cen, h)
-    phi = bk.evaluate(pts)
-    dphi = bk.evaluate_gradient(pts)
-    psi = bk1.evaluate(pts)
-    dpsi = bk1.evaluate_gradient(pts)
+    p = _cell_setup(m, k)
+    D, Mphi = p["basis"].derivatives(), p["Mphi"]
+    Mpsi = Mphi[:, :nk1, :nk1]
+    # Aj[j][t, p, a] = (phi_a, d psi_p / dx_j)_T = h^-1 sum_b D[j, b, p] Mphi[t, b, a]
+    Aj = np.einsum("jbp,tba->jtpa", D[:, :, :nk1], Mphi) / h[:, None, None]
 
-    Mpsi = np.einsum("tq,tqi,tqj->tij", w, psi, psi)
-    Mphi = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-    # Aj[j][t, p, a] = (phi_a, d psi_p / dx_j)_T
-    Aj = np.einsum("tq,tqpj,tqa->jtpa", w, dpsi, phi)
-
-    tparams, epts, ew = edge_quadrature(m, exact)
+    tparams, epts, ew = edge_quadrature(m, 2 * k + 2)
     chi = EdgeBasis(k).evaluate(tparams)  # (nqe, nke)
     ge = m.tri_edges
     nt = m.num_triangles
 
     ep_loc = epts[ge]            # (nt, 3, nqe, 2)
     ew_loc = ew[ge]              # (nt, 3, nqe)
-    flat = ep_loc.reshape(nt, -1, 2)
-    phi_e = bk.evaluate(flat).reshape(ew_loc.shape + (space.nk,))
-    psi_e = bk1.evaluate(flat).reshape(ew_loc.shape + (space.nk1,))
+    phi_e = p["basis"].evaluate(ep_loc.reshape(nt, -1, 2)).reshape(ew_loc.shape + (space.nk,))
+    psi_e = phi_e[..., :nk1]
     nrm = m.outward_normals()    # (nt, 3, 2)
 
     # Te[t, l, p, mm] = <chi_mm, psi_p>_e
     Te = np.einsum("tlq,tlqp,qm->tlpm", ew_loc, psi_e, chi)
 
     # weak-derivative maps G_j : local scalar dofs -> P_{k-1} coefficients
-    Nb = np.einsum("tlj,tlpm->jtplm", nrm, Te).reshape(2, nt, space.nk1, 3 * space.nke)
+    Nb = np.einsum("tlj,tlpm->jtplm", nrm, Te).reshape(2, nt, nk1, 3 * space.nke)
     G = np.linalg.solve(Mpsi[None, :, :, :], np.concatenate([-Aj, Nb], axis=3))
 
     return {
-        "pts": pts, "w": w, "phi": phi, "dphi": dphi, "dpsi": dpsi,
-        "Mpsi": Mpsi, "Mphi": Mphi, "chi": chi, "epts": epts, "ew_loc": ew_loc,
+        **p, "D": D, "Mpsi": Mpsi, "chi": chi, "epts": epts, "ew_loc": ew_loc,
         "phi_e": phi_e, "psi_e": psi_e, "nrm": nrm, "G": G,
     }
 
@@ -290,11 +281,12 @@ def _field_numerators(f, m: Mesh, k: int):
     """Numerator moments of the weak-derivative identities for an exact field."""
     space = WgSpace(m, k)
     p = space.pack()
-    fv = np.asarray(f(p["pts"][..., 0], p["pts"][..., 1]), dtype=float)
     fe = np.asarray(f(p["epts"][..., 0], p["epts"][..., 1]), dtype=float)
     fe_loc = fe[m.tri_edges]  # (nt, 3, nqe, 2)
-    # -(f_i, dpsi_p/dx_j)_T + <f_i, psi_p n_j>_dT
-    cell = -np.einsum("tq,tqc,tqpj->tcjp", p["w"], fv, p["dpsi"])
+    # -(f_i, dpsi_p/dx_j)_T + <f_i, psi_p n_j>_dT, where
+    # (f_i, dpsi_p/dx_j)_T = h^-1 sum_b D[j, b, p] (f_i, phi_b)_T
+    cell = -np.einsum("tcb,jbp->tcjp", _cell_moments(f, p), p["D"][:, :, :space.nk1])
+    cell /= m.h_per_element[:, None, None, None]
     edge = np.einsum(
         "tlq,tlqc,tlqp,tlj->tcjp", p["ew_loc"], fe_loc, p["psi_e"], p["nrm"]
     )
@@ -304,11 +296,7 @@ def _field_numerators(f, m: Mesh, k: int):
 def weak_gradient_of_field(f, m: Mesh, k: int) -> np.ndarray:
     """Weak gradient of a smooth field taken with exact traces."""
     space, num = _field_numerators(f, m, k)
-    Mpsi = space.pack()["Mpsi"]
-    nt = m.num_triangles
-    rhs = num.reshape(nt, 4, space.nk1).transpose(0, 2, 1)
-    sol = np.linalg.solve(Mpsi, rhs)
-    return sol.transpose(0, 2, 1).reshape(nt, 2, 2, space.nk1)
+    return _solve_gram(space.pack()["Mpsi"], num)
 
 
 def weak_divergence_of_field(f, m: Mesh, k: int) -> np.ndarray:
@@ -407,9 +395,7 @@ def solve_source(
 ) -> WgFunction:
     """Solve the source problem a_w(u_h, v) = (f, v_0) on the free dofs."""
     sys = assemble_forms(space, params, stab)
-    p = space.pack()
-    fv = np.asarray(f(p["pts"][..., 0], p["pts"][..., 1]), dtype=float)
-    load = np.einsum("tq,tqa,tqc->tca", p["w"], p["phi"], fv)
+    load = _cell_moments(f, space.pack())  # (nt, 2, nk)
     rhs = np.zeros(space.num_dofs)
     rhs[: space.num_interior_dofs] = load.reshape(-1)
     free = sys.free
@@ -428,9 +414,11 @@ def norms(v: WgFunction, params: ElasticParams) -> tuple[float, float]:
     p = space.pack()
     c0 = v.interior()  # (nt, 2, nk)
 
-    grad = np.einsum("tca,tqaj->tqcj", c0, p["dphi"])
-    eps = 0.5 * (grad + grad.transpose(0, 1, 3, 2))
-    strain_sq = np.einsum("tq,tqcj,tqcj->", p["w"], eps, eps)
+    # grad(v0)[t, c, j, b] = h^-1 sum_a D[j, b, a] c0[t, c, a], in P_{k-1}
+    grad = np.einsum("jba,tca->tcjb", p["D"][:, :space.nk1], c0)
+    grad /= space.mesh.h_per_element[:, None, None, None]
+    eps = 0.5 * (grad + grad.transpose(0, 2, 1, 3))
+    strain_sq = np.einsum("tcjp,tpq,tcjq->", eps, p["Mpsi"], eps)
 
     dv = weak_divergence(v)
     div_sq = np.einsum("tp,tpq,tq->", dv, p["Mpsi"], dv)

@@ -241,6 +241,20 @@ def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     assert not out.exists()  # nothing was solved or written
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys, where):
+    def never(cfg, n):
+        raise AssertionError("solve_level called for an unwritable --out")
+
+    monkeypatch.setattr(lab, "solve_level", never)
+    out = tmp_path if where == "directory" else tmp_path / "nonexistent" / "t.csv"
+    code = run_cli(["--levels", "2,4", "--eigs", "1", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("elastica: invalid configuration: out:")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -85,12 +85,19 @@ def test_cell_basis_centroid_values():
     assert np.allclose(vals[0, 0], [1.0, 0.0, 0.0])
 
 
+def basis_gradient(basis, pts):
+    """Basis gradients (ne, nq, dim, 2) from the values and D: evaluate(pts) @ D[j] / h."""
+    D = basis.derivatives()
+    h = basis.diameters[:, None, None]
+    return np.stack([basis.evaluate(pts) @ D[j] / h for j in range(2)], axis=-1)
+
+
 def test_cell_basis_linear_gradient():
     cent = np.array([[0.3, 0.4]])
     diam = np.array([0.25])
     basis = CellBasis(1, cent, diam)
     pts = np.random.default_rng(0).uniform(0, 1, size=(1, 5, 2))
-    grad = basis.evaluate_gradient(pts)
+    grad = basis_gradient(basis, pts)
     # scaled x-monomial has constant gradient (1/h_T, 0); y likewise
     assert np.allclose(grad[0, :, 1], [1.0 / 0.25, 0.0])
     assert np.allclose(grad[0, :, 2], [0.0, 1.0 / 0.25])
@@ -99,16 +106,17 @@ def test_cell_basis_linear_gradient():
 
 def test_cell_basis_gradient_matches_finite_differences():
     m = square(2)
-    basis = CellBasis(2, m.centroids(), m.h_per_element)
     rng = np.random.default_rng(1)
     pts = m.centroids()[:, None, :] + 0.05 * rng.uniform(-1, 1, (m.num_triangles, 4, 2))
-    grad = basis.evaluate_gradient(pts)
     eps = 1e-6
-    for axis in range(2):
-        shift = np.zeros(2)
-        shift[axis] = eps
-        fd = (basis.evaluate(pts + shift) - basis.evaluate(pts - shift)) / (2 * eps)
-        assert np.allclose(grad[..., axis], fd, atol=1e-8)
+    for k in (0, 2, 3):
+        basis = CellBasis(k, m.centroids(), m.h_per_element)
+        grad = basis_gradient(basis, pts)
+        for axis in range(2):
+            shift = np.zeros(2)
+            shift[axis] = eps
+            fd = (basis.evaluate(pts + shift) - basis.evaluate(pts - shift)) / (2 * eps)
+            assert np.allclose(grad[..., axis], fd, atol=1e-8)
 
 
 def test_quadratic_roundtrip_reproduction():

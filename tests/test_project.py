@@ -11,7 +11,7 @@ from elastica.project import (
     project_edge,
     project_global,
 )
-from conftest import PolyField, square
+from conftest import PolyField, lshape, square
 
 
 def cell_l2_error(m, coeff, f, k):
@@ -165,6 +165,18 @@ def test_global_projection_identity_on_wg_space():
         v = project_global(field, space)
         assert np.abs(v.interior() - project_cell(field, m, k)).max() <= 1e-12
         assert np.abs(v.edge() - project_edge(field, m, k)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_global_projection_cell_part_is_project_cell(k):
+    # project_global reads the pack's cell table, which _cell_setup also builds for project_cell
+    m = lshape(2)
+    space = WgSpace(m, k)
+
+    def f(x, y):
+        return np.stack([np.sin(3 * x + y), np.exp(x * y)], axis=-1)
+
+    assert np.array_equal(project_global(f, space).interior(), project_cell(f, m, k))
 
 
 def test_global_projection_boundary_consistency():

@@ -14,6 +14,8 @@ from elastica import (
     solve_eigen,
     solve_source,
 )
+from elastica._quadmap import cell_quadrature, edge_quadrature
+from elastica.polyquad import CellBasis, EdgeBasis
 from elastica.project import (
     project_cell_matrix,
     project_cell_scalar,
@@ -95,6 +97,49 @@ def test_local_dofs_match_loop_reference(mesh, k):
     block = 2 * (k + 1)
     want = space.num_interior_dofs + mesh.dirichlet_edges[:, None] * block + np.arange(block)
     assert np.array_equal(space.dirichlet_dofs(), want.ravel())
+
+
+def _monomial_gradient(basis, pts):
+    """Scaled-monomial gradients (nt, nq, dim, 2) from the power rule, term by term."""
+    xi = (pts - basis.centroids[:, None, :]) / basis.diameters[:, None, None]
+    a, b = basis.exponents[:, 0], basis.exponents[:, 1]
+    x, y = xi[..., 0:1], xi[..., 1:2]
+    with np.errstate(invalid="ignore"):
+        dx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y**b, 0.0)
+        dy = np.where(b > 0, b * x**a * y ** np.maximum(b - 1, 0), 0.0)
+    return np.stack([dx, dy], axis=-1) / basis.diameters[:, None, None, None]
+
+
+def _quadrature_pack(space):
+    """Mpsi, Aj and G from quadrature with a separate P_{k-1} basis."""
+    m, k = space.mesh, space.order
+    pts, w = cell_quadrature(m, 2 * k + 2)
+    bk = CellBasis(k, m.centroids(), m.h_per_element)
+    bk1 = CellBasis(k - 1, m.centroids(), m.h_per_element)
+    phi, psi = bk.evaluate(pts), bk1.evaluate(pts)
+    Mpsi = np.einsum("tq,tqi,tqj->tij", w, psi, psi)
+    Aj = np.einsum("tq,tqpj,tqa->jtpa", w, _monomial_gradient(bk1, pts), phi)
+    tparams, epts, ew = edge_quadrature(m, 2 * k + 2)
+    chi = EdgeBasis(k).evaluate(tparams)
+    ew_loc = ew[m.tri_edges]
+    psi_e = bk1.evaluate(epts[m.tri_edges].reshape(m.num_triangles, -1, 2))
+    Te = np.einsum("tlq,tlqp,qm->tlpm", ew_loc, psi_e.reshape(ew_loc.shape + (-1,)), chi)
+    Nb = np.einsum("tlj,tlpm->jtplm", m.outward_normals(), Te)
+    Nb = Nb.reshape(2, m.num_triangles, space.nk1, 3 * space.nke)
+    G = np.linalg.solve(Mpsi[None], np.concatenate([-Aj, Nb], axis=3))
+    return Mpsi, Aj, G
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mesh", [square(2), lshape(2)], ids=["square", "lshape"])
+def test_pack_matches_quadrature_of_a_separate_lower_basis(mesh, k):
+    # the pack takes P_{k-1} as the leading block of P_k and differentiates through D
+    space = WgSpace(mesh, k)
+    p = space.pack()
+    Mpsi, Aj, G = _quadrature_pack(space)
+    Aj_pack = -np.einsum("tpq,jtqa->jtpa", p["Mpsi"], p["G"][..., :space.nk])
+    for got, want in ((p["Mpsi"], Mpsi), (Aj_pack, Aj), (p["G"], G)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("k", [1, 2])
