@@ -15,12 +15,9 @@ def cell_quadrature(m: Mesh, exactness: int):
     sum over q equal to the element area.
     """
     rule = triangle_rule(exactness)
-    p = m.vertices[m.triangles]  # (nt, 3, 2)
-    p0 = p[:, 0, :]
-    B = np.stack([p[:, 1, :] - p0, p[:, 2, :] - p0], axis=-1)  # (nt, 2, 2)
-    pts = p0[:, None, :] + np.einsum("tij,qj->tqi", B, rule.points)
-    det = np.abs(B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0])
-    w = det[:, None] * rule.weights[None, :]
+    p0 = m.vertices[m.triangles[:, 0]]
+    pts = p0[:, None, :] + np.einsum("tij,qj->tqi", m.jacobians(), rule.points)
+    w = 2.0 * m.areas()[:, None] * rule.weights
     return pts, w
 
 

@@ -128,6 +128,8 @@ def _configure(args):
     for nu in nus:
         replace(cfg, nu=nu)  # checks each swept Poisson ratio before any solve
     out = merged["out"]
+    if not out:
+        raise ValueError("out: the path is empty")
     if os.path.isdir(out):
         raise ValueError(f"out: {out!r} is a directory")
     if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from ._quadmap import cell_quadrature, edge_quadrature
+from ._quadmap import edge_quadrature
 from .mesh import Mesh
 from .wg import (
     AssembledSystem,
@@ -31,12 +32,15 @@ __all__ = [
     "jump_values",
 ]
 
+JUMP_EXACTNESS = 4  # exactness of the edge rule behind the jump penalty and jump_values
+
 
 class CrSpace:
     """Dof layout: edge-major, [x, y] per edge; Dirichlet edges constrained."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        self._inv_jacobians = np.linalg.inv(mesh.jacobians())
 
     @property
     def num_dofs(self) -> int:
@@ -53,13 +57,8 @@ class CrSpace:
 
     # barycentric gradients, shape (nt, 3, 2); row l is grad lambda_l
     def _bary_grads(self) -> np.ndarray:
-        m = self.mesh
-        p = m.vertices[m.triangles]
-        B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        Binv = np.linalg.inv(B)
-        g = np.empty((m.num_triangles, 3, 2))
-        g[:, 1, :] = Binv[:, 0, :]
-        g[:, 2, :] = Binv[:, 1, :]
+        g = np.empty((self.mesh.num_triangles, 3, 2))
+        g[:, 1:] = self._inv_jacobians
         g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
         return g
 
@@ -70,14 +69,9 @@ class CrSpace:
         Returns (n, nq, 3), basis l tied to local edge l.
         """
         m = self.mesh
-        p = m.vertices[m.triangles[tris]]
-        B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        Binv = np.linalg.inv(B)
-        rel = pts - p[:, None, 0, :]
-        lam12 = np.einsum("nij,nqj->nqi", Binv, rel)
-        lam = np.concatenate(
-            [1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2
-        )
+        rel = pts - m.vertices[m.triangles[tris, 0]][:, None, :]
+        lam12 = np.einsum("nij,nqj->nqi", self._inv_jacobians[tris], rel)
+        lam = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
         return 1.0 - 2.0 * lam
 
 
@@ -117,7 +111,8 @@ def interpolate(f, space: CrSpace) -> CrFunction:
 def assemble_cr(
     space: CrSpace, params: ElasticParams, stab: StabilizationConfig
 ) -> AssembledSystem:
-    """Assemble the jump-stabilized CR stiffness and the full mass."""
+    """Assemble the jump-stabilized CR stiffness and the mass, which is diagonal:
+    (theta_i, theta_j)_T = |T|/3 delta_ij, summed over the triangles of each edge."""
     m = space.mesh
     if len(m.dirichlet_edges) == 0:
         raise ValueError("mesh has no Dirichlet edges; tag the boundary first")
@@ -140,7 +135,7 @@ def assemble_cr(
     K = K.reshape(nt, 6, 6)
 
     # interior-edge jump penalty gamma(h) * 2 mu / h_e, one block per component
-    ie, J, w_ie, edof = _jumps(space, 4)
+    ie, J, w_ie, edof = _jumps(space)
     scale = gam * 2.0 * mu / m.edge_lengths()[ie]
     P = np.einsum("e,eq,eqa,eqb->eab", scale, w_ie, J, J)
 
@@ -149,18 +144,13 @@ def assemble_cr(
     A = scatter(np.concatenate([K, P, P]), np.concatenate([dof, 2 * edof, 2 * edof + 1]), n)
     A = 0.5 * (A + A.T)
 
-    cpts, cw = cell_quadrature(m, 2)
-    theta = space.basis_at(np.arange(nt), cpts)
-    Mscal = np.einsum("tq,tqa,tqb->tab", cw, theta, theta)
-    Bloc = np.zeros((nt, 6, 6))
-    Bloc[:, 0::2, 0::2] = Mscal
-    Bloc[:, 1::2, 1::2] = Mscal
-    B = scatter(Bloc, dof, n)
+    mass = np.bincount(m.tri_edges.ravel(), np.repeat(area / 3.0, 3), m.num_edges)
+    B = sp.diags(np.repeat(mass, 2), format="csr")
 
     return AssembledSystem(A=A, B=B, free=space.free_dofs())
 
 
-def _jumps(space: CrSpace, exactness: int):
+def _jumps(space: CrSpace):
     """Jump map [v] = v|T+ - v|T- across the interior edges.
 
     Returns (edge_ids, J (nie, nq, 6), weights (nie, nq), edof (nie, 6)):
@@ -169,7 +159,7 @@ def _jumps(space: CrSpace, exactness: int):
     """
     m = space.mesh
     ie = m.interior_edges
-    _, pts, w = edge_quadrature(m, exactness)
+    _, pts, w = edge_quadrature(m, JUMP_EXACTNESS)
     pts_ie = pts[ie]
     tp, tm = m.edge_tris[ie, 0], m.edge_tris[ie, 1]
     J = np.concatenate([space.basis_at(tp, pts_ie), -space.basis_at(tm, pts_ie)], axis=2)
@@ -177,12 +167,12 @@ def _jumps(space: CrSpace, exactness: int):
     return ie, J, w[ie], edof
 
 
-def jump_values(v: CrFunction, exactness: int = 4):
+def jump_values(v: CrFunction):
     """Jumps across interior edges at quadrature points.
 
     Returns (edge_ids, jumps (nie, nq, 2), weights (nie, nq)).
     """
-    ie, J, w_ie, edof = _jumps(v.space, exactness)
+    ie, J, w_ie, edof = _jumps(v.space)
     return ie, np.einsum("eqa,eac->eqc", J, v.edge_means()[edof]), w_ie
 
 

@@ -31,6 +31,7 @@ from .mesh import (
     classify_boundary,
     full_dirichlet,
 )
+from .polyquad import MAX_TRIANGLE_DEGREE
 
 __all__ = [
     "ExperimentConfig",
@@ -45,6 +46,8 @@ __all__ = [
     "parse_csv",
     "EXPERIMENTS",
 ]
+
+LOWER_BOUND_SLACK = 1e-8  # how far a ladder may rise above its Richardson limit
 
 # experiment name -> (domain, boundary)
 EXPERIMENTS = {
@@ -76,8 +79,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.num_eigs < 1:
             raise ValueError("num_eigs must be >= 1")
-        if self.order < 1:
-            raise ValueError("WG order k must be >= 1")
+        kmax = (MAX_TRIANGLE_DEGREE - 2) // 2  # the WG cell rule is exact to degree 2k + 2
+        if not 1 <= self.order <= kmax:
+            raise ValueError(f"WG order k must be between 1 and {kmax}")
         wg_mod.ElasticParams(E=self.E, nu=self.nu)  # checks E and nu
         wg_mod.StabilizationConfig(delta=self.delta)  # checks delta
         levels = tuple(int(n) for n in self.levels)
@@ -95,10 +99,13 @@ class RateTable:
     """Eigenfrequencies per level plus extrapolated eigenvalue orders."""
 
     config: ExperimentConfig
-    levels: tuple
     gammas: np.ndarray          # (num_eigs, nlevels), NaN on failed levels
     orders: Optional[np.ndarray] = None   # (num_eigs,), None if < 3 levels
     failures: dict = field(default_factory=dict)  # level -> message
+
+    @property
+    def levels(self) -> tuple:
+        return self.config.levels
 
     @property
     def omegas(self) -> np.ndarray:
@@ -171,13 +178,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateTable:
         if 2 * a == b and 2 * b == c:
             for j in range(m):
                 orders[j] = convergence_order(*gammas[j, -3:])
-    return RateTable(
-        config=cfg,
-        levels=cfg.levels,
-        gammas=gammas,
-        orders=orders,
-        failures=failures,
-    )
+    return RateTable(config=cfg, gammas=gammas, orders=orders, failures=failures)
 
 
 def locking_sweep(cfg: ExperimentConfig, nus) -> dict:
@@ -195,11 +196,11 @@ def locking_sweep(cfg: ExperimentConfig, nus) -> dict:
     return {"nus": nus, "tables": tables, "max_rel_deviation": dev}
 
 
-def lower_bound_violation(table: RateTable, slack: float = 1e-8) -> Optional[str]:
+def lower_bound_violation(table: RateTable) -> Optional[str]:
     """Why the gamma ladder is no lower-bound ladder, or None if it is.
 
     The ladder must be nondecreasing in every eigenpair and, with three or
-    more levels, stay below its Richardson limit (plus slack).
+    more levels, stay below its Richardson limit (plus LOWER_BOUND_SLACK).
     """
     g = table.gammas
     if np.any(np.isnan(g)):
@@ -213,14 +214,14 @@ def lower_bound_violation(table: RateTable, slack: float = 1e-8) -> Optional[str
         for j, row in enumerate(g):
             limit = richardson_limit(*row[-3:])
             excess = row.max() - limit
-            if excess > slack:
+            if excess > LOWER_BOUND_SLACK:
                 return f"gamma_{j + 1} exceeds its Richardson limit {limit:.6g} by {excess:.3e}"
     return None
 
 
-def check_lower_bounds(table: RateTable, slack: float = 1e-8) -> bool:
+def check_lower_bounds(table: RateTable) -> bool:
     """Monotone nondecreasing gamma ladder, below its Richardson limit."""
-    return lower_bound_violation(table, slack) is None
+    return lower_bound_violation(table) is None
 
 
 def emit(table: RateTable, fmt: str, path) -> None:

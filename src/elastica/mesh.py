@@ -134,6 +134,10 @@ class Mesh:
     def signed_areas(self) -> np.ndarray:
         return 0.5 * _cross(self.vertices, self.triangles)
 
+    def jacobians(self) -> np.ndarray:
+        """Affine maps of the reference triangle, shape (nt, 2, 2)."""
+        return _jacobians(self.vertices, self.triangles)
+
     def outward_normals(self) -> np.ndarray:
         """Outward unit normals, shape (nt, 3, 2), per local edge."""
         p = self.vertices
@@ -149,12 +153,16 @@ class Mesh:
         return normals
 
 
+def _jacobians(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Columns p1 - p0 and p2 - p0 of each triangle, shape (nt, 2, 2)."""
+    p = vertices[triangles]
+    return np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+
+
 def _cross(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Twice the signed area of each triangle (positive when counterclockwise)."""
-    p = vertices[triangles]
-    return (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
+    J = _jacobians(vertices, triangles)
+    return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
 
 
 def _build_topology(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:

@@ -188,10 +188,16 @@ class EigenResult:
     """Sorted eigenvalues, eigenfrequencies and B-normalized vectors."""
 
     eigenvalues: np.ndarray
-    frequencies: np.ndarray
     vectors: np.ndarray  # (num_dofs, m), zeros on constrained dofs
-    residuals: np.ndarray
-    report: spectra.SolveReport = field(repr=False, default=None)
+    report: spectra.SolveReport = field(repr=False)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.sqrt(self.eigenvalues)
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return self.report.residuals
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +387,7 @@ def solve_eigen(sys: AssembledSystem, m: int, seed: int = 0) -> EigenResult:
     )
     full = np.zeros((sys.A.shape[0], m))
     full[free, :] = V
-    return EigenResult(
-        eigenvalues=vals,
-        frequencies=np.sqrt(vals),
-        vectors=full,
-        residuals=report.residuals,
-        report=report,
-    )
+    return EigenResult(eigenvalues=vals, vectors=full, report=report)
 
 
 def solve_source(

@@ -130,7 +130,6 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     cfg = ExperimentConfig(levels=(2, 4), num_eigs=1)
     broken = RateTable(
         config=cfg,
-        levels=cfg.levels,
         gammas=np.full((1, 2), np.nan),
         failures={2: "no convergence", 4: "no convergence"},
     )
@@ -185,7 +184,7 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
     # finest value 2.5, so the ladder cannot be a lower-bound ladder
     cfg = ExperimentConfig(levels=(2, 4, 8), num_eigs=1)
     gammas = np.array([[1.0, 1.5, 2.5]])
-    table = RateTable(config=cfg, levels=cfg.levels, gammas=gammas)
+    table = RateTable(config=cfg, gammas=gammas)
     assert lab.richardson_limit(1.0, 1.5, 2.5) == pytest.approx(0.5)
     monkeypatch.setattr(cli.lab, "run_experiment", lambda c: table)
     code = run_cli(["--levels", "2,4,8", "--check-lower", "--out", str(tmp_path / "r.csv")])
@@ -221,11 +220,14 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
         (["--levels", "2,4", "--E", "nan"], None),
         (["--levels", "2,4", "--delta", "inf"], None),
         (["--levels", "2,4", "--delta", "nan"], None),
+        (["--levels", "2", "--order", "15"], None),
+        (["--levels", "2", "--out="], None),
+        (["--levels", "2"], "out =\n"),
     ],
     ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "cfg-experiment",
          "cfg-format", "cfg-check-lower", "missing-cfg", "flag-method", "flag-order",
          "flag-levels", "flag-unknown", "delta", "no-levels", "zero-level", "E-inf",
-         "E-nan", "delta-inf", "delta-nan"],
+         "E-nan", "delta-inf", "delta-nan", "order-15", "empty-out", "cfg-empty-out"],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     monkeypatch.chdir(tmp_path)
@@ -233,7 +235,9 @@ def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
         (tmp_path / "run.cfg").write_text(cfg_text)
         bad = bad + ["--config", "run.cfg"]
     out = tmp_path / "t.csv"
-    code = run_cli(bad + ["--out", str(out)])
+    if "--out=" not in bad and "out =" not in (cfg_text or ""):
+        bad = bad + ["--out", str(out)]
+    code = run_cli(bad)
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("elastica: invalid configuration:")
@@ -241,13 +245,14 @@ def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     assert not out.exists()  # nothing was solved or written
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "empty"])
 def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys, where):
     def never(cfg, n):
         raise AssertionError("solve_level called for an unwritable --out")
 
     monkeypatch.setattr(lab, "solve_level", never)
-    out = tmp_path if where == "directory" else tmp_path / "nonexistent" / "t.csv"
+    out = {"directory": tmp_path, "missing-parent": tmp_path / "nonexistent" / "t.csv",
+           "empty": ""}[where]
     code = run_cli(["--levels", "2,4", "--eigs", "1", "--out", str(out)])
     assert code == 4
     err = capsys.readouterr().err

@@ -13,7 +13,8 @@ from elastica import (
 )
 from elastica._quadmap import cell_quadrature, edge_quadrature
 from elastica.cr import cr_norm, jump_values
-from conftest import square
+from elastica.wg import scatter
+from conftest import lshape, square
 
 
 PARAMS = ElasticParams(E=1.0, nu=0.3)
@@ -130,6 +131,27 @@ def test_penalty_is_the_jump_energy_of_jump_values():
     assert v.coeffs @ ((A1 - A2) @ v.coeffs) == pytest.approx(
         gap * 2.0 * PARAMS.mu * energy, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("m", [square(8, boundary="bottom"), lshape(4)], ids=["square", "lshape"])
+def test_mass_is_the_closed_form_diagonal(m):
+    # (theta_i, theta_j)_T = |T|/3 delta_ij, so B stores one entry per dof and
+    # matches the 9-point cell quadrature mass to rounding
+    space = CrSpace(m)
+    B = assemble_cr(space, PARAMS, STAB).B
+    rows, cols = B.nonzero()
+    assert np.array_equal(rows, cols)
+    assert B.nnz == space.num_dofs
+    nt = m.num_triangles
+    pts, w = cell_quadrature(m, 2)
+    theta = space.basis_at(np.arange(nt), pts)
+    Mscal = np.einsum("tq,tqa,tqb->tab", w, theta, theta)
+    Bloc = np.zeros((nt, 6, 6))
+    Bloc[:, 0::2, 0::2] = Mscal
+    Bloc[:, 1::2, 1::2] = Mscal
+    dof = (2 * m.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
+    quad = scatter(Bloc, dof, space.num_dofs)
+    assert abs(B - quad).max() <= 2e-14 * abs(quad).max()
 
 
 def test_assembled_matrices_symmetric_and_definite():

@@ -66,6 +66,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(order=0)
     with pytest.raises(ValueError):
+        ExperimentConfig(order=15)  # its cell rule would need exactness 32
+    with pytest.raises(ValueError):
         ExperimentConfig(delta=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(levels=())
@@ -100,7 +102,6 @@ def _fabricated(gammas, levels=(4, 8, 16)):
     cfg = ExperimentConfig(levels=levels, num_eigs=max(gammas.shape[0], 1))
     return RateTable(
         config=cfg,
-        levels=levels,
         gammas=gammas,
         orders=None,
     )

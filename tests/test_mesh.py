@@ -59,6 +59,19 @@ def test_orientation_and_area():
     assert build_lshape_mesh(2).areas().sum() == pytest.approx(3.0, rel=1e-14)
 
 
+def test_jacobian_determinants_are_twice_the_signed_areas():
+    m = build_square_mesh(4)
+    rng = np.random.default_rng(3)
+    moved = _build_topology(m.vertices + rng.uniform(-0.05, 0.05, m.vertices.shape), m.triangles)
+    for mesh in (m, build_lshape_mesh(2), moved):
+        J = mesh.jacobians()
+        p = mesh.vertices[mesh.triangles]
+        assert np.array_equal(J[:, :, 0], p[:, 1] - p[:, 0])
+        assert np.array_equal(J[:, :, 1], p[:, 2] - p[:, 0])
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        assert np.array_equal(det, 2.0 * mesh.signed_areas())
+
+
 def test_edge_adjacency():
     m = build_square_mesh(3)
     interior = m.edge_tris[m.interior_edges]

@@ -330,8 +330,8 @@ def test_eigs_sparse_path_factor_applications(monkeypatch):
 
 
 def test_eigs_sparse_path_mass_of_low_rank():
-    # B has rank 3 < k = m + 3: the Ritz vectors in B's kernel carry no finite
-    # eigenvalue and are left out of the finish; asking for more than 3 fails
+    # B's support r has 3 rows, no more than m + 3: its unit vectors stand in
+    # for ARPACK's Ritz vectors, so only 3 finite eigenvalues exist; asking for 4 fails
     n = 2200
     rng = np.random.default_rng(7)
     A = random_spd(n, rng, sparse=True)
