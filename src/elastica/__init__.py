@@ -7,7 +7,6 @@ asymptotic lower bounds of the exact ones.
 """
 
 from .mesh import (
-    BoundarySpec,
     Mesh,
     bottom_dirichlet,
     build_lshape_mesh,
@@ -32,7 +31,6 @@ from .cr import CrFunction, CrSpace, assemble_cr, interpolate
 from .lab import ExperimentConfig, RateTable, locking_sweep, run_experiment
 
 __all__ = [
-    "BoundarySpec",
     "Mesh",
     "bottom_dirichlet",
     "build_lshape_mesh",

@@ -32,11 +32,7 @@ def edge_quadrature(m: Mesh, exactness: int):
     weights (ne, nqe) with sum over q equal to the edge length.
     """
     rule = edge_rule(exactness)
-    a = m.vertices[m.edges[:, 0]]
-    b = m.vertices[m.edges[:, 1]]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None, :] + rule.points[None, :, None] * half[:, None, :]
-    length = 2.0 * np.hypot(half[:, 0], half[:, 1])
-    w = 0.5 * length[:, None] * rule.weights[None, :]
+    half = 0.5 * (m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]])
+    pts = m.edge_midpoints()[:, None, :] + rule.points[None, :, None] * half[:, None, :]
+    w = 0.5 * m.edge_lengths()[:, None] * rule.weights[None, :]
     return rule.points, pts, w

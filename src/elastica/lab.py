@@ -15,6 +15,7 @@ three finest levels.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -71,6 +72,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        try:  # a float would truncate (levels) or fail inside numpy after meshing
+            object.__setattr__(self, "levels", tuple(map(operator.index, self.levels)))
+            for name in ("num_eigs", "order", "seed"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError as exc:
+            raise ValueError(f"levels, num_eigs, order and seed must be integers: {exc}") from None
         if self.domain not in ("square", "lshape"):
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.boundary not in ("all-dirichlet", "bottom-dirichlet"):
@@ -79,19 +86,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.num_eigs < 1:
             raise ValueError("num_eigs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         kmax = (MAX_TRIANGLE_DEGREE - 2) // 2  # the WG cell rule is exact to degree 2k + 2
         if not 1 <= self.order <= kmax:
             raise ValueError(f"WG order k must be between 1 and {kmax}")
         wg_mod.ElasticParams(E=self.E, nu=self.nu)  # checks E and nu
         wg_mod.StabilizationConfig(delta=self.delta)  # checks delta
-        levels = tuple(int(n) for n in self.levels)
-        if not levels:
+        if not self.levels:
             raise ValueError("levels must not be empty")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if any(n < 1 or n & (n - 1) for n in levels):
+        if any(n < 1 or n & (n - 1) for n in self.levels):
             raise ValueError("levels must be positive powers of two")
-        object.__setattr__(self, "levels", levels)
 
 
 @dataclass

@@ -10,13 +10,11 @@ tagging returns a new object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Mesh",
-    "BoundarySpec",
     "build_square_mesh",
     "build_lshape_mesh",
     "refine_uniform",
@@ -26,30 +24,15 @@ __all__ = [
     "bottom_dirichlet",
 ]
 
-_EPS = 1e-12
+
+def full_dirichlet():
+    """Predicate tagging the whole boundary as Dirichlet."""
+    return lambda x, y: True
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Selector for Dirichlet boundary edges.
-
-    ``dirichlet_predicate(x, y)`` is called once, with the (nb,) float
-    arrays of the boundary-edge midpoint coordinates.  It returns an (nb,)
-    boolean array, or a scalar that applies to every edge.  Edges where
-    it is True are tagged Dirichlet, the rest Neumann.
-    """
-
-    dirichlet_predicate: Callable[[np.ndarray, np.ndarray], object]
-
-
-def full_dirichlet() -> BoundarySpec:
-    """Spec tagging the whole boundary as Dirichlet."""
-    return BoundarySpec(lambda x, y: True)
-
-
-def bottom_dirichlet(tol: float = 1e-10) -> BoundarySpec:
-    """Spec tagging only the bottom side y=0 as Dirichlet."""
-    return BoundarySpec(lambda x, y: abs(y) < tol)
+def bottom_dirichlet():
+    """Predicate tagging only the bottom side y=0 as Dirichlet."""
+    return lambda x, y: abs(y) < 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,9 +100,7 @@ class Mesh:
         return np.where(self.edge_tags == "N")[0]
 
     def edge_lengths(self) -> np.ndarray:
-        p = self.vertices
-        d = p[self.edges[:, 1]] - p[self.edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
+        return _lengths(self.vertices, self.edges)
 
     def edge_midpoints(self) -> np.ndarray:
         p = self.vertices
@@ -140,23 +121,23 @@ class Mesh:
 
     def outward_normals(self) -> np.ndarray:
         """Outward unit normals, shape (nt, 3, 2), per local edge."""
-        p = self.vertices
-        tri = self.triangles
-        normals = np.empty((len(tri), 3, 2))
-        for l in range(3):
-            a = p[tri[:, (l + 1) % 3]]
-            b = p[tri[:, (l + 2) % 3]]
-            t = b - a
-            # rotate tangent by -90 degrees; for CCW triangles this points out
-            n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-            normals[:, l, :] = n / np.linalg.norm(n, axis=1)[:, None]
-        return normals
+        p = self.vertices[self.triangles]
+        # tangent of local edge l (vertex l + 1 to l + 2) turned by -90 degrees: outward
+        t = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+        return n / np.linalg.norm(n, axis=-1)[..., None]
 
 
 def _jacobians(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Columns p1 - p0 and p2 - p0 of each triangle, shape (nt, 2, 2)."""
     p = vertices[triangles]
     return np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+
+
+def _lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Length of each edge, given as (ne, 2) vertex index pairs."""
+    d = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 def _cross(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -201,9 +182,7 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     edge_tags = np.full(ne, "", dtype="<U1")
     edge_tags[~shared] = "B"
 
-    ep = vertices[edges]
-    elen = np.hypot(ep[:, 1, 0] - ep[:, 0, 0], ep[:, 1, 1] - ep[:, 0, 1])
-    h_per_element = elen[tri_edges].max(axis=1)
+    h_per_element = _lengths(vertices, edges)[tri_edges].max(axis=1)
 
     return Mesh(
         vertices=vertices,
@@ -233,13 +212,6 @@ def _structured_cells(nx: int, ny: int, x0: float, y0: float, h: float):
     return verts, tris
 
 
-def _dedupe(verts: np.ndarray, tris: np.ndarray):
-    """Merge coincident vertices (exact dyadic coordinates, so keys are safe)."""
-    key = np.round(verts / _EPS).astype(np.int64)
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return verts[first], inverse[tris]
-
-
 def build_square_mesh(n: int) -> Mesh:
     """Uniform mesh of the unit square with n x n cells, 2n^2 triangles."""
     if n < 1:
@@ -252,18 +224,18 @@ def build_lshape_mesh(n: int) -> Mesh:
     """Uniform mesh of the L-shaped domain (0,2)^2 minus (1,2)^2.
 
     n is the number of subdivisions per unit length; the mesh has 6n^2
-    triangles (three unit squares).
+    triangles: the 2n-by-2n grid of (0,2)^2 without its upper-right quadrant.
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
-    h = 1.0 / n
-    v1, t1 = _structured_cells(n, n, 0.0, 0.0, h)  # lower-left square
-    v2, t2 = _structured_cells(n, n, 1.0, 0.0, h)  # lower-right square
-    v3, t3 = _structured_cells(n, n, 0.0, 1.0, h)  # upper-left square
-    verts = np.vstack([v1, v2 + 0.0, v3])
-    tris = np.vstack([t1, t2 + len(v1), t3 + len(v1) + len(v2)])
-    verts, tris = _dedupe(verts, tris)
-    return _build_topology(verts, tris)
+    verts, tris = _structured_cells(2 * n, 2 * n, 0.0, 0.0, 1.0 / n)
+    # unit square of each cell (i, j): 0 lower-left, 1 lower-right, 2 upper-left, 3 upper-right
+    # (dropped); the stable sort keeps cells i-major, np.unique keeps vertices x-then-y
+    i, j = np.divmod(np.arange(len(tris)) // 2, 2 * n)
+    square = (i >= n) + 2 * (j >= n)
+    tris = tris[np.argsort(square, kind="stable")[: 6 * n * n]]
+    used, tris = np.unique(tris, return_inverse=True)
+    return _build_topology(verts[used], tris.reshape(-1, 3))
 
 
 def refine_uniform(m: Mesh) -> Mesh:
@@ -294,19 +266,22 @@ def refine_uniform(m: Mesh) -> Mesh:
     return replace(refined, edge_tags=tags)
 
 
-def classify_boundary(m: Mesh, spec: BoundarySpec) -> Mesh:
+def classify_boundary(m: Mesh, predicate) -> Mesh:
     """Tag boundary edges as Dirichlet ('D') or Neumann ('N').
 
-    Raises ValueError when the spec selects no Dirichlet edge (the
+    ``predicate(x, y)`` is called once, with the (nb,) float arrays of the
+    boundary-edge midpoint coordinates.  It returns an (nb,) boolean array,
+    or a scalar that applies to every edge.  Edges where it is True are
+    tagged Dirichlet, the rest Neumann.
+
+    Raises ValueError when the predicate selects no Dirichlet edge (the
     eigenvalue problem needs |Gamma_D| > 0).
     """
     b = m.boundary_edges
     x, y = m.edge_midpoints()[b].T
-    dirichlet = np.broadcast_to(
-        np.asarray(spec.dirichlet_predicate(x, y), dtype=bool), b.shape
-    )
+    dirichlet = np.broadcast_to(np.asarray(predicate(x, y), dtype=bool), b.shape)
     if not dirichlet.any():
-        raise ValueError("boundary spec selects no Dirichlet edge")
+        raise ValueError("boundary predicate selects no Dirichlet edge")
     tags = m.edge_tags.copy()
     tags[b] = np.where(dirichlet, "D", "N")
     return replace(m, edge_tags=tags)
@@ -315,7 +290,7 @@ def classify_boundary(m: Mesh, spec: BoundarySpec) -> Mesh:
 def dump_mesh(m: Mesh, path) -> None:
     """Plain-text dump: `v x y`, `t i j k`, `e i j {D|N}` lines."""
     with open(path, "w") as fh:
-        for x, y in m.vertices:
+        for x, y in m.vertices.tolist():
             fh.write(f"v {x!r} {y!r}\n")
         for i, j, k in m.triangles:
             fh.write(f"t {i} {j} {k}\n")

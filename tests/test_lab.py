@@ -79,6 +79,15 @@ def test_config_validation():
             ExperimentConfig(E=bad)
         with pytest.raises(ValueError):
             ExperimentConfig(delta=bad)
+    # non-integral or negative counts, caught before they truncate or reach numpy
+    for bad in (
+        dict(levels=(2.5, 4)),
+        dict(num_eigs=2.5),
+        dict(order=1.5),
+        dict(seed=-1),
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
 
 def test_run_experiment_small_and_deterministic():

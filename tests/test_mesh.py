@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from elastica import (
-    BoundarySpec,
     build_lshape_mesh,
     build_square_mesh,
     bottom_dirichlet,
@@ -43,6 +42,19 @@ def test_lshape_counts():
     assert euler_characteristic(m) == 2
     assert build_lshape_mesh(2).num_triangles == 24
     assert build_lshape_mesh(16).num_triangles == 6 * 16**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_lshape_is_the_square_grid_minus_a_quadrant(n):
+    m = build_lshape_mesh(n)
+    assert np.array_equal(m.vertices, np.round(m.vertices * n) / n)  # exactly (i/n, j/n)
+    assert m.num_vertices == (2 * n + 1) ** 2 - n**2
+    x, y = m.vertices.T
+    assert np.all((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1])))
+    assert m.num_triangles == 6 * n**2
+    c = m.centroids()
+    assert not np.any((c[:, 0] > 1) & (c[:, 1] > 1))
+    assert m.areas().sum() == pytest.approx(3.0, rel=1e-14)
 
 
 def test_invalid_subdivisions():
@@ -139,16 +151,15 @@ def test_classify_full_and_mixed():
     ids=["array", "scalar", "numpy-scalar"],
 )
 def test_classify_predicate_array_or_scalar(predicate, ndir):
-    m = classify_boundary(build_square_mesh(2), BoundarySpec(predicate))
+    m = classify_boundary(build_square_mesh(2), predicate)
     assert len(m.dirichlet_edges) == ndir
     assert len(m.neumann_edges) == 8 - ndir
     assert np.all(m.edge_tags[m.interior_edges] == "")
 
 
 def test_classify_empty_dirichlet_rejected():
-    spec = BoundarySpec(dirichlet_predicate=lambda x, y: False)
     with pytest.raises(ValueError):
-        classify_boundary(build_square_mesh(2), spec)
+        classify_boundary(build_square_mesh(2), lambda x, y: False)
 
 
 def test_h_per_element_is_longest_edge():
@@ -160,15 +171,19 @@ def test_h_per_element_is_longest_edge():
 
 
 def test_outward_normals():
-    m = build_square_mesh(2)
-    nrm = m.outward_normals()
-    assert np.allclose(np.linalg.norm(nrm, axis=2), 1.0)
-    pts = m.vertices[m.triangles]
-    cent = m.centroids()
-    for l in range(3):
-        mid = 0.5 * (pts[:, (l + 1) % 3] + pts[:, (l + 2) % 3])
-        outward = np.einsum("tj,tj->t", nrm[:, l], mid - cent)
-        assert np.all(outward > 0)
+    for m in (build_square_mesh(2), build_lshape_mesh(3)):
+        nrm = m.outward_normals()
+        assert np.allclose(np.linalg.norm(nrm, axis=2), 1.0)
+        pts = m.vertices[m.triangles]
+        cent = m.centroids()
+        for l in range(3):
+            mid = 0.5 * (pts[:, (l + 1) % 3] + pts[:, (l + 2) % 3])
+            outward = np.einsum("tj,tj->t", nrm[:, l], mid - cent)
+            assert np.all(outward > 0)
+            # reference: the tangent from vertex l + 1 to l + 2, one local edge at a time
+            t = pts[:, (l + 2) % 3] - pts[:, (l + 1) % 3]
+            n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+            assert np.array_equal(nrm[:, l], n / np.linalg.norm(n, axis=1)[:, None])
 
 
 def test_dump_format(tmp_path):
@@ -183,6 +198,12 @@ def test_dump_format(tmp_path):
     for ln in lines:
         if ln.startswith("e"):
             assert ln.split()[-1] in ("D", "N")
+    # coordinates are written as plain floats that read back exactly
+    m = build_lshape_mesh(3)
+    dump_mesh(m, path)
+    rows = [ln.split() for ln in path.read_text().splitlines()]
+    v = np.array([[float(x), float(y)] for kind, x, y, *_ in rows if kind == "v"])
+    assert np.array_equal(v, m.vertices)
 
 
 def test_non_manifold_rejected():
