@@ -14,10 +14,10 @@ def cell_quadrature(m: Mesh, exactness: int):
     Returns (points, weights): points (nt, nq, 2), weights (nt, nq) with
     sum over q equal to the element area.
     """
-    rule = triangle_rule(exactness)
+    ref, ref_w = triangle_rule(exactness)
     p0 = m.vertices[m.triangles[:, 0]]
-    pts = p0[:, None, :] + np.einsum("tij,qj->tqi", m.jacobians(), rule.points)
-    w = 2.0 * m.areas()[:, None] * rule.weights
+    pts = p0[:, None, :] + np.einsum("tij,qj->tqi", m.jacobians(), ref)
+    w = 2.0 * m.areas()[:, None] * ref_w
     return pts, w
 
 
@@ -31,8 +31,8 @@ def edge_quadrature(m: Mesh, exactness: int):
     Returns (params, points, weights): params (nqe,), points (ne, nqe, 2),
     weights (ne, nqe) with sum over q equal to the edge length.
     """
-    rule = edge_rule(exactness)
+    t, t_w = edge_rule(exactness)
     half = 0.5 * (m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]])
-    pts = m.edge_midpoints()[:, None, :] + rule.points[None, :, None] * half[:, None, :]
-    w = 0.5 * m.edge_lengths()[:, None] * rule.weights[None, :]
-    return rule.points, pts, w
+    pts = m.edge_midpoints()[:, None, :] + t[None, :, None] * half[:, None, :]
+    w = 0.5 * m.edge_lengths()[:, None] * t_w[None, :]
+    return t, pts, w

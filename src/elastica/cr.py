@@ -8,8 +8,6 @@ what produces asymptotic lower eigenvalue bounds on singular eigenfunctions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -19,6 +17,8 @@ from .wg import (
     AssembledSystem,
     ElasticParams,
     StabilizationConfig,
+    _Coefficients,
+    _EdgeLayout,
     scatter,
     solve_eigen,  # kept importable from here: CR systems use the same driver
 )
@@ -35,25 +35,16 @@ __all__ = [
 JUMP_EXACTNESS = 4  # exactness of the edge rule behind the jump penalty and jump_values
 
 
-class CrSpace:
-    """Dof layout: edge-major, [x, y] per edge; Dirichlet edges constrained."""
+class CrSpace(_EdgeLayout):
+    """WG's edge layout with one mean per edge and component and no interior
+    dofs: edge-major, [x, y] per edge; Dirichlet edges constrained."""
+
+    num_interior_dofs = 0
+    nke = 1
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self._inv_jacobians = np.linalg.inv(mesh.jacobians())
-
-    @property
-    def num_dofs(self) -> int:
-        return 2 * self.mesh.num_edges
-
-    def dirichlet_dofs(self) -> np.ndarray:
-        d = self.mesh.dirichlet_edges
-        return np.stack([2 * d, 2 * d + 1], axis=1).ravel()
-
-    def free_dofs(self) -> np.ndarray:
-        mask = np.ones(self.num_dofs, dtype=bool)
-        mask[self.dirichlet_dofs()] = False
-        return np.where(mask)[0]
 
     # barycentric gradients, shape (nt, 3, 2); row l is grad lambda_l
     def _bary_grads(self) -> np.ndarray:
@@ -75,17 +66,8 @@ class CrSpace:
         return 1.0 - 2.0 * lam
 
 
-@dataclass
-class CrFunction:
+class CrFunction(_Coefficients):
     """Edge-mean coefficient vector over a CrSpace."""
-
-    space: CrSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.num_dofs,):
-            raise ValueError("coefficient length does not match the space")
 
     def edge_means(self) -> np.ndarray:
         """Per-edge vector dofs, shape (ne, 2)."""
@@ -139,9 +121,10 @@ def assemble_cr(
     scale = gam * 2.0 * mu / m.edge_lengths()[ie]
     P = np.einsum("e,eq,eqa,eqb->eab", scale, w_ie, J, J)
 
-    n = space.num_dofs
-    dof = (2 * m.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
-    A = scatter(np.concatenate([K, P, P]), np.concatenate([dof, 2 * edof, 2 * edof + 1]), n)
+    dof = space.edge_dofs(m.tri_edges).reshape(nt, 6)
+    pen = space.edge_dofs(edof)[..., 0]  # (nie, 6, 2): x then y dofs of the edges at edof
+    A = scatter(np.concatenate([K, P, P]), np.concatenate([dof, pen[..., 0], pen[..., 1]]),
+                space.num_dofs)
     A = 0.5 * (A + A.T)
 
     mass = np.bincount(m.tri_edges.ravel(), np.repeat(area / 3.0, 3), m.num_edges)

@@ -12,14 +12,11 @@ exact to any requested degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "CellBasis",
-    "EdgeBasis",
-    "QuadratureRule",
+    "edge_basis",
     "triangle_rule",
     "edge_rule",
     "cell_basis_dim",
@@ -33,20 +30,9 @@ def cell_basis_dim(k: int) -> int:
     return (k + 1) * (k + 2) // 2
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points/weights pair of a quadrature rule.
-
-    Triangle rules live on the reference triangle (points shape (nq, 2),
-    weights summing to 1/2); edge rules live on [-1, 1].
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def triangle_rule(exactness: int) -> QuadratureRule:
-    """Rule on the reference triangle exact for total degree <= exactness."""
+def triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points (nq, 2), weights (nq,)) on the reference triangle, weights summing
+    to 1/2, exact for total degree <= exactness."""
     if exactness < 0:
         raise ValueError("exactness degree must be >= 0")
     if exactness > MAX_TRIANGLE_DEGREE:
@@ -63,16 +49,15 @@ def triangle_rule(exactness: int) -> QuadratureRule:
     W = np.outer(wu, wu) * (1.0 - U)
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
-    return QuadratureRule(points=np.stack([x, y], axis=1), weights=W.ravel())
+    return np.stack([x, y], axis=1), W.ravel()
 
 
-def edge_rule(exactness: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1] exact for degree <= exactness."""
+def edge_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of the Gauss-Legendre rule on [-1, 1] exact for degree <= exactness."""
     if exactness < 0:
         raise ValueError("exactness degree must be >= 0")
     npt = exactness // 2 + 1
-    t, w = np.polynomial.legendre.leggauss(npt)
-    return QuadratureRule(points=t, weights=w)
+    return np.polynomial.legendre.leggauss(npt)
 
 
 class CellBasis:
@@ -95,10 +80,6 @@ class CellBasis:
                 ((d - j, j) for j in range(d + 1))]
         self.exponents = np.array(exps, dtype=np.int64)
 
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Basis values at physical points.
 
@@ -117,7 +98,8 @@ class CellBasis:
         """Differentiation matrices D (2, dim, dim), the same on every element:
         d phi_a / dx_j = h_T^{-1} sum_b D[j, b, a] phi_b, with b in the leading
         P_{k-1} block."""
-        D = np.zeros((2, self.dim, self.dim))
+        dim = len(self.exponents)
+        D = np.zeros((2, dim, dim))
         for j in range(2):
             power = self.exponents[:, j]
             a = np.nonzero(power)[0]
@@ -127,19 +109,9 @@ class CellBasis:
         return D
 
 
-class EdgeBasis:
-    """Monomial basis of P_k(e) in the arclength parameter on [-1, 1]."""
-
-    def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
-
-    @property
-    def dim(self) -> int:
-        return self.degree + 1
-
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Values at parameters t, shape t.shape + (dim,)."""
-        t = np.asarray(t, dtype=float)
-        return t[..., None] ** np.arange(self.degree + 1)
+def edge_basis(degree: int, t: np.ndarray) -> np.ndarray:
+    """Monomials of P_k(e) in the arclength parameter on [-1, 1] at t,
+    shape t.shape + (k+1,)."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return np.asarray(t, dtype=float)[..., None] ** np.arange(degree + 1)

@@ -27,7 +27,7 @@ import numpy as np
 from ._quadmap import cell_quadrature, edge_quadrature
 from .errors import DegenerateElementError
 from .mesh import Mesh
-from .polyquad import CellBasis, EdgeBasis, cell_basis_dim
+from .polyquad import CellBasis, cell_basis_dim, edge_basis
 
 __all__ = [
     "project_cell",
@@ -105,7 +105,7 @@ def project_edge(f, m: Mesh, k: int) -> np.ndarray:
     parameterization.
     """
     t, pts, w = edge_quadrature(m, 2 * k + 2)
-    chi = EdgeBasis(k).evaluate(t)  # (nqe, k+1)
+    chi = edge_basis(k, t)  # (nqe, k+1)
     gram = np.einsum("eq,qi,qj->eij", w, chi, chi)
     vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     return _solve_gram(gram, np.einsum("eq,qi,eqc->eci", w, chi, vals))

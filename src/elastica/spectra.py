@@ -112,13 +112,15 @@ class SpdFactor:
 def factorize_spd(A) -> SpdFactor:
     """Factorize a symmetric positive definite matrix, rejecting any other.
 
-    Without diagonal pivoting U has a positive diagonal exactly when A is SPD.
+    Without diagonal pivoting U has a positive diagonal exactly when A is SPD;
+    a pivot that is inf or nan is rejected too.
     Reading U makes SuperLU cache CSC copies of both factors: the eigensolver
     therefore uses SpdFactor directly.
     """
     F = SpdFactor(A)
-    if np.any(F._lu.U.diagonal() <= 0):
-        raise NotPositiveDefiniteError("nonpositive pivot in factorization")
+    d = F._lu.U.diagonal()
+    if not np.all((d > 0) & (d < np.inf)):
+        raise NotPositiveDefiniteError("nonpositive or nonfinite pivot in factorization")
     return F
 
 

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import spectra
 from ._quadmap import edge_quadrature
 from .mesh import Mesh
-from .polyquad import EdgeBasis, cell_basis_dim
+from .polyquad import cell_basis_dim, edge_basis
 from .project import _cell_moments, _cell_setup, _solve_gram
 
 __all__ = [
@@ -59,6 +59,8 @@ class ElasticParams:
             raise ValueError("Young's modulus must be positive and finite")
         if not 0.0 < self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in (0, 0.5)")
+        if not (math.isfinite(self.lam) and self.mu > 0.0):
+            raise ValueError("Lame constants overflow or underflow at this E and nu")
 
     @property
     def lam(self) -> float:
@@ -83,12 +85,38 @@ class StabilizationConfig:
         return float(h) ** self.delta
 
 
-class WgSpace:
+class _EdgeLayout:
+    """Edge dofs after the num_interior_dofs interior ones, edge-major, with nke
+    coefficients per component: [x | y] per edge.  Dirichlet edge blocks are
+    excluded from the free set."""
+
+    @property
+    def num_edge_dofs(self) -> int:
+        return self.mesh.num_edges * 2 * self.nke
+
+    @property
+    def num_dofs(self) -> int:
+        return self.num_interior_dofs + self.num_edge_dofs
+
+    def edge_dofs(self, edges) -> np.ndarray:
+        """Global dofs of the given edges, shape (..., 2, nke): [x | y] per edge."""
+        comp = np.arange(2)[:, None] * self.nke + np.arange(self.nke)
+        return self.num_interior_dofs + edges[..., None, None] * 2 * self.nke + comp
+
+    def dirichlet_dofs(self) -> np.ndarray:
+        return self.edge_dofs(self.mesh.dirichlet_edges).ravel()
+
+    def free_dofs(self) -> np.ndarray:
+        mask = np.ones(self.num_dofs, dtype=bool)
+        mask[self.dirichlet_dofs()] = False
+        return np.where(mask)[0]
+
+
+class WgSpace(_EdgeLayout):
     """Dof layout of the order-k WG space on a mesh.
 
     Interior dofs come first, element-major, as [x-coeffs, y-coeffs]
-    blocks of the cell basis; edge dofs follow, edge-major, likewise per
-    component.  Dirichlet edge blocks are excluded from the free set.
+    blocks of the cell basis; the edge layout follows with nke = k+1.
     local_dofs() is the one per-element view of this layout.
     """
 
@@ -107,33 +135,12 @@ class WgSpace:
     def num_interior_dofs(self) -> int:
         return self.mesh.num_triangles * 2 * self.nk
 
-    @property
-    def num_edge_dofs(self) -> int:
-        return self.mesh.num_edges * 2 * self.nke
-
-    @property
-    def num_dofs(self) -> int:
-        return self.num_interior_dofs + self.num_edge_dofs
-
-    def edge_dofs(self, edges) -> np.ndarray:
-        """Global dofs of the given edges, shape (..., 2, k+1): [x | y] per edge."""
-        comp = np.arange(2)[:, None] * self.nke + np.arange(self.nke)
-        return self.num_interior_dofs + edges[..., None, None] * 2 * self.nke + comp
-
     def local_dofs(self) -> np.ndarray:
         """Global dof of each local scalar dof, (nt, 2, ns): [cell | edge0 | edge1 | edge2]."""
         nt = self.mesh.num_triangles
         cell = np.arange(nt * 2 * self.nk).reshape(nt, 2, self.nk)
         edge = self.edge_dofs(self.mesh.tri_edges).transpose(0, 2, 1, 3)  # (nt, 2, 3, nke)
         return np.concatenate([cell, edge.reshape(nt, 2, 3 * self.nke)], axis=2)
-
-    def dirichlet_dofs(self) -> np.ndarray:
-        return self.edge_dofs(self.mesh.dirichlet_edges).ravel()
-
-    def free_dofs(self) -> np.ndarray:
-        mask = np.ones(self.num_dofs, dtype=bool)
-        mask[self.dirichlet_dofs()] = False
-        return np.where(mask)[0]
 
     # -- cached geometry/operator tables -----------------------------------
 
@@ -144,16 +151,20 @@ class WgSpace:
 
 
 @dataclass
-class WgFunction:
-    """Coefficient vector over a WgSpace (interior part + edge part)."""
+class _Coefficients:
+    """Coefficient vector over a space, one entry per dof."""
 
-    space: WgSpace
+    space: _EdgeLayout
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (self.space.num_dofs,):
             raise ValueError("coefficient length does not match the space")
+
+
+class WgFunction(_Coefficients):
+    """Coefficient vector over a WgSpace (interior part + edge part)."""
 
     def interior(self) -> np.ndarray:
         """Interior coefficients, shape (nt, 2, nk)."""
@@ -217,7 +228,7 @@ def _build_pack(space: WgSpace) -> dict:
     Aj = np.einsum("jbp,tba->jtpa", D[:, :, :nk1], Mphi) / h[:, None, None]
 
     tparams, epts, ew = edge_quadrature(m, 2 * k + 2)
-    chi = EdgeBasis(k).evaluate(tparams)  # (nqe, nke)
+    chi = edge_basis(k, tparams)  # (nqe, nke)
     ge = m.tri_edges
     nt = m.num_triangles
 

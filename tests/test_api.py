@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import elastica
+
+MODULES = ["elastica"] + [
+    f"elastica.{info.name}" for info in pkgutil.iter_modules(elastica.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

@@ -73,6 +73,22 @@ def test_locking_sweep_output(tmp_path, capsys):
     assert out.exists()
 
 
+def test_locking_sweep_solves_a_repeated_nu_once(monkeypatch):
+    calls = []
+    run = lab.run_experiment
+
+    def counting(cfg):
+        calls.append(cfg.nu)
+        return run(cfg)
+
+    monkeypatch.setattr(lab, "run_experiment", counting)
+    cfg = ExperimentConfig(levels=(2, 4), num_eigs=1)
+    sweep = lab.locking_sweep(cfg, [0.3, 0.3])
+    assert calls == [0.3]
+    assert sweep["nus"] == [0.3, 0.3]
+    assert np.all(sweep["max_rel_deviation"] == 0.0)
+
+
 def test_sweep_failure_at_a_later_nu_fails_the_run(tmp_path, monkeypatch, capsys):
     # the written table is the first nu's; a failure at any other nu still exits 2
     solve = lab.solve_level
@@ -223,11 +239,14 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
         (["--levels", "2", "--order", "15"], None),
         (["--levels", "2", "--out="], None),
         (["--levels", "2"], "out =\n"),
+        (["--levels", "2,4", "--eigs", "1", "--E", "1e308"], None),
+        (["--levels", "2,4", "--eigs", "1", "--E", "5e-324"], None),
     ],
     ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "cfg-experiment",
          "cfg-format", "cfg-check-lower", "missing-cfg", "flag-method", "flag-order",
          "flag-levels", "flag-unknown", "delta", "no-levels", "zero-level", "E-inf",
-         "E-nan", "delta-inf", "delta-nan", "order-15", "empty-out", "cfg-empty-out"],
+         "E-nan", "delta-inf", "delta-nan", "order-15", "empty-out", "cfg-empty-out",
+         "E-overflow", "E-underflow"],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     monkeypatch.chdir(tmp_path)

@@ -12,7 +12,7 @@ from elastica import (
     solve_eigen,
 )
 from elastica._quadmap import cell_quadrature, edge_quadrature
-from elastica.cr import cr_norm, jump_values
+from elastica.cr import _jumps, cr_norm, jump_values
 from elastica.wg import scatter
 from conftest import lshape, square
 
@@ -33,6 +33,23 @@ def test_space_layout():
     assert space.num_dofs == 2 * m.num_edges
     assert len(space.dirichlet_dofs()) == 2 * len(m.dirichlet_edges)
     assert len(space.free_dofs()) == space.num_dofs - 2 * len(m.dirichlet_edges)
+
+
+@pytest.mark.parametrize("m", [square(4), square(4, boundary="bottom"), lshape(2)],
+                         ids=["clamped", "bottom", "lshape"])
+def test_dof_map_is_the_edge_layout(m):
+    # CR numbers its unknowns through WG's edge layout at one mean per edge
+    # and component; the closed forms [2e, 2e+1] are the reference
+    space = CrSpace(m)
+    nt = m.num_triangles
+    want = (2 * m.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
+    assert np.array_equal(space.edge_dofs(m.tri_edges).reshape(nt, 6), want)
+    d = m.dirichlet_edges
+    assert np.array_equal(space.dirichlet_dofs(), np.stack([2 * d, 2 * d + 1], axis=1).ravel())
+    edof = _jumps(space)[3]
+    pen = space.edge_dofs(edof)[..., 0]
+    assert np.array_equal(pen[..., 0], 2 * edof)
+    assert np.array_equal(pen[..., 1], 2 * edof + 1)
 
 
 def test_interpolation_reproduces_affine():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elastica import WgSpace, refine_uniform
-from elastica.polyquad import CellBasis, EdgeBasis
+from elastica.polyquad import CellBasis, edge_basis
 from elastica._quadmap import cell_quadrature, edge_quadrature
 from elastica.project import (
     project_cell,
@@ -80,7 +80,7 @@ def test_edge_projection_exact_on_polynomials():
         field = PolyField(k, np.random.default_rng(10 + k))
         coeff = project_edge(field, m, k)
         t, pts, w = edge_quadrature(m, 2 * k + 4)
-        chi = EdgeBasis(k).evaluate(t)
+        chi = edge_basis(k, t)
         vals = np.einsum("ecm,qm->eqc", coeff, chi)
         diff = vals - field(pts[..., 0], pts[..., 1])
         assert np.abs(diff).max() <= 1e-12
@@ -96,7 +96,7 @@ def test_edge_projection_best_linear_fit():
 
     coeff = project_edge(f, m, k)
     t, pts, w = edge_quadrature(m, 6)
-    chi = EdgeBasis(k).evaluate(t)
+    chi = edge_basis(k, t)
     for e in range(m.num_edges):
         G = np.einsum("q,qi,qj->ij", w[e], chi, chi)
         rhs = np.einsum("q,qi,q->i", w[e], chi, pts[e, :, 0] ** 2)

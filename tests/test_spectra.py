@@ -60,6 +60,13 @@ def test_factor_rejects_indefinite_large():
         factorize_spd(sp.diags(d, format="csr"))
 
 
+def test_factor_rejects_nonfinite_pivot():
+    # inf <= 0 is False: the pivot test must reject inf and nan explicitly
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NotPositiveDefiniteError):
+            factorize_spd(sp.csr_matrix([[bad]]))
+
+
 def test_factor_rejects_singular():
     # SuperLU stops at the exactly zero pivot; that is no SPD matrix either
     A = sp.diags(np.r_[0.0, np.arange(1.0, 60.0)], format="csr")

@@ -15,7 +15,7 @@ from elastica import (
     solve_source,
 )
 from elastica._quadmap import cell_quadrature, edge_quadrature
-from elastica.polyquad import CellBasis, EdgeBasis
+from elastica.polyquad import CellBasis, edge_basis
 from elastica.project import (
     project_cell_matrix,
     project_cell_scalar,
@@ -120,7 +120,7 @@ def _quadrature_pack(space):
     Mpsi = np.einsum("tq,tqi,tqj->tij", w, psi, psi)
     Aj = np.einsum("tq,tqpj,tqa->jtpa", w, _monomial_gradient(bk1, pts), phi)
     tparams, epts, ew = edge_quadrature(m, 2 * k + 2)
-    chi = EdgeBasis(k).evaluate(tparams)
+    chi = edge_basis(k, tparams)
     ew_loc = ew[m.tri_edges]
     psi_e = bk1.evaluate(epts[m.tri_edges].reshape(m.num_triangles, -1, 2))
     Te = np.einsum("tlq,tlqp,qm->tlpm", ew_loc, psi_e.reshape(ew_loc.shape + (-1,)), chi)
