@@ -1,7 +1,8 @@
 """Command line front end: ``elastica run ...``.
 
-Exit codes: 0 success, 2 any solver failure during the run, at any swept nu,
-including unconverged eigenpairs (the failed level's column is NaN), 3 failed
+Exit codes: 0 success, 2 any solver failure during the run, at any swept nu
+(the failed level's column is NaN; the eigensolver decides convergence, and an
+--eigs above the number of finite eigenvalues fails its level at once), 3 failed
 lower-bound check (--check-lower, on every swept nu; the condition and nu are
 named), 4 invalid configuration, including an unknown or unparsable ``run``
 flag, an unreadable or malformed --config file and an --out path that cannot

@@ -20,6 +20,8 @@ Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
    vectors X, then Rayleigh-Ritz on the exact pencil (Y^T A Y, Y^T B Y).
    This removes the error the bare factor leaves in the Krylov subspace and
    returns full-length B-orthonormal vectors.
+3. Check: the solver decides convergence.  A residual above its bound (see
+   RESIDUAL_TOL) fails the call, so every returned pair is converged.
 """
 
 from __future__ import annotations
@@ -38,20 +40,21 @@ __all__ = ["SolveReport", "SpdFactor", "factorize_spd", "smallest_generalized_ei
 
 # forming A x in floating point errs by up to about (nonzeros per row) * eps * |A| |x|
 ROUNDING = 100 * np.finfo(float).eps
+ARPACK_TOL = 1e-10  # on the shift-inverted problem on B's support, whose eigenvalues are 1/g
+# a residual is converged within RESIDUAL_TOL, or ROUNDING * ||A||_1 ||x|| / ||A x|| where that
+# floor is larger (a stiff A, nu near 1/2), never above RESIDUAL_CAP (a tiny E lifts it above 1)
+RESIDUAL_TOL, RESIDUAL_CAP = 1e-8, 1e-5
 
 
 @dataclass
 class SolveReport:
     """iterations: solves with the factor of A counted as vectors, i.e. the
     Krylov steps plus the width of the finishing block solve; residuals:
-    ||A x - g B x|| / ||A x|| per pair, on the full A and B;
-    converged: every residual is within max(tol, 1e-8), or within
-    ROUNDING * ||A||_1 ||x|| / ||A x|| where that rounding floor is larger (a
-    stiff A, nu near 1/2)."""
+    ||A x - g B x|| / ||A x|| per pair, on the full A and B.  A returned
+    report is converged; a failure's report travels on its SolverFailure."""
 
     iterations: int
     residuals: np.ndarray
-    converged: bool
 
     @property
     def residual(self) -> float:
@@ -124,7 +127,7 @@ def factorize_spd(A) -> SpdFactor:
     return F
 
 
-def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
+def smallest_generalized_eigs(A, B, m: int, seed=0):
     """m smallest finite eigenpairs of A x = g B x.
 
     Parameters
@@ -132,8 +135,6 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
     A : SPD matrix (sparse or dense).
     B : positive semidefinite matrix of the same size.
     m : number of eigenpairs.
-    tol : ARPACK tolerance on the shift-inverted problem on B's support,
-        whose eigenvalues are 1/g.
     seed : start-vector seed (results are deterministic per seed).
 
     Returns
@@ -142,9 +143,10 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
     sign of each vector is decided on B's support r: its largest-magnitude
     entry there is positive.  Entries within 1e-8 relative of that magnitude
     count as tied and the lowest index decides, so round-off cannot flip a
-    symmetric mode.  Fewer than m finite eigenvalues, a B singular on its
-    support, a singular A, a nonpositive Rayleigh quotient (A not SPD) or an
-    ARPACK error raise SolverFailure with the report.
+    symmetric mode.  Fewer than m finite eigenvalues (m > |r|, refused before
+    A is factored), a B singular on its support, a singular A, a nonpositive
+    Rayleigh quotient (A not SPD), an ARPACK error or a residual above its
+    bound (see RESIDUAL_TOL) raise SolverFailure with the report.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -155,9 +157,11 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
     # B's support: a PSD matrix with a zero diagonal entry is zero on that row
     r = np.flatnonzero(B.diagonal() > 0)
 
-    def failure(message):
-        return SolverFailure(message, SolveReport(applies, np.array([np.inf]), False))
+    def failure(message, residuals=(np.inf,)):
+        return SolverFailure(message, SolveReport(applies, np.array(residuals)))
 
+    if m > len(r):  # B_rr is SPD: exactly |r| finite eigenvalues
+        raise failure(f"only {len(r)} finite eigenvalues available")
     try:
         factor = SpdFactor(A)
     except NotPositiveDefiniteError as exc:
@@ -180,7 +184,7 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
         v0 = np.random.default_rng(seed).standard_normal(len(r))
         try:
             # in shift-invert mode eigsh reads only the shape of its first argument
-            _, X = spla.eigsh(op, m + 3, M=Brr, sigma=0, OPinv=op, which="LM", tol=tol, v0=v0)
+            _, X = spla.eigsh(op, m + 3, M=Brr, sigma=0, OPinv=op, tol=ARPACK_TOL, v0=v0)
         except spla.ArpackError as exc:
             raise failure(f"ARPACK failed on B's support: {exc}") from exc
     # finish: one refined block inverse-iteration step, then Rayleigh-Ritz
@@ -194,8 +198,6 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
     except scipy.linalg.LinAlgError as exc:
         raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
     vals, V = vals[:m], Y @ W[:, :m]
-    if len(vals) < m:
-        raise failure(f"only {len(vals)} finite eigenvalues available")
     if np.any(vals <= 0):
         raise failure("nonpositive Rayleigh quotient; check matrix PSD-ness")
 
@@ -208,9 +210,6 @@ def smallest_generalized_eigs(A, B, m: int, tol=1e-10, seed=0):
     ax = np.linalg.norm(Ax, axis=0)
     res = np.linalg.norm(Ax - (B @ V) * vals, axis=0) / ax
     floor = ROUNDING * anorm * np.linalg.norm(V, axis=0) / ax
-    report = SolveReport(
-        iterations=applies,
-        residuals=res,
-        converged=bool(np.all(res <= np.maximum(max(tol, 1e-8), floor))),
-    )
-    return vals, V, report
+    if not np.all(res <= np.minimum(np.maximum(RESIDUAL_TOL, floor), RESIDUAL_CAP)):
+        raise failure(f"eigenpairs not converged: worst residual {res.max():.3e}", res)
+    return vals, V, SolveReport(iterations=applies, residuals=res)

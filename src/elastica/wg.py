@@ -73,7 +73,9 @@ class ElasticParams:
 
 @dataclass(frozen=True)
 class StabilizationConfig:
-    """Stabilization weight rule gamma(h) = h^delta, delta > 0."""
+    """Stabilization weight rule gamma(h) = h^delta, delta > 0.  The WG stabilizer
+    gamma(h) h^-1 <v0 - vb, w0 - wb> carries no material constant, so WG eigenvalues
+    are not proportional to E; CR's are, as its penalty carries 2 mu."""
 
     delta: float = 0.05
 
@@ -390,7 +392,7 @@ def solve_eigen(sys: AssembledSystem, m: int, seed: int = 0) -> EigenResult:
 
     Each vector has its largest-magnitude coefficient on the mass support
     positive: WG vectors their largest interior coefficient, CR vectors their
-    largest coefficient.
+    largest coefficient.  Unconverged pairs raise SolverFailure like any other failure.
     """
     free = sys.free
     vals, V, report = spectra.smallest_generalized_eigs(

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elastica import ExperimentConfig, RateTable
 from elastica import cli, lab
@@ -155,18 +156,16 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_unconverged_level_fails_the_run(tmp_path, monkeypatch, capsys):
-    # a solve whose report is not converged counts as a failed level: its
-    # column stays NaN, the failure names the worst residual and the run exits 2
-    solve = lab.wg_mod.solve_eigen
+    # Rayleigh-Ritz values off by 3.5e-6 relative fail the eigensolver's own
+    # residual check: the level's column stays NaN, the failure names the
+    # worst residual and the run exits 2
+    eigh = scipy.linalg.eigh
 
-    def unconverged(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        report = dataclasses.replace(
-            res.report, residuals=np.full(len(res.eigenvalues), 3.5e-6), converged=False
-        )
-        return dataclasses.replace(res, report=report)
+    def inaccurate(*args, **kwargs):
+        vals, W = eigh(*args, **kwargs)
+        return vals * (1.0 + 3.5e-6), W
 
-    monkeypatch.setattr(lab.wg_mod, "solve_eigen", unconverged)
+    monkeypatch.setattr(scipy.linalg, "eigh", inaccurate)
     table = lab.run_experiment(ExperimentConfig(levels=(2, 4), num_eigs=1))
     assert sorted(table.failures) == [2, 4]
     assert "not converged" in table.failures[4]
@@ -282,3 +281,14 @@ def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys, wh
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_tiny_modulus_residuals_fail_the_run(tmp_path, capsys):
+    # at E = 1e-16 the rounding floor of the residual bound lies above 1; the
+    # cap on that bound still rejects the level's residuals of order 1
+    out = tmp_path / "tiny.csv"
+    code = run_cli(["--levels", "2,4", "--eigs", "1", "--E", "1e-16", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    for n in (2, 4):
+        assert f"solver failure at level {n}: eigenpairs not converged: worst residual" in err

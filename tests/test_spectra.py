@@ -88,7 +88,6 @@ def test_eigs_diagonal():
     B = sp.identity(3, format="csr")
     vals, V, report = smallest_generalized_eigs(A, B, 2)
     assert np.allclose(vals, [1.0, 2.0], atol=1e-12)
-    assert report.converged
 
 
 def test_eigs_semidefinite_mass():
@@ -120,10 +119,9 @@ def test_eigs_sparse_path_matches_dense_oracle():
     rng = np.random.default_rng(3)
     A = random_spd(n, rng, sparse=True)
     B = sp.identity(n, format="csr")
-    vals, V, report = smallest_generalized_eigs(A, B, 4, tol=1e-12)
+    vals, V, report = smallest_generalized_eigs(A, B, 4)
     ref = np.sort(scipy.linalg.eigvalsh(A.toarray()))[:4]
     assert np.abs(vals - ref).max() <= 1e-9 * np.abs(ref).max()
-    assert report.converged
 
 
 def test_eigs_seed_independence():
@@ -132,7 +130,7 @@ def test_eigs_seed_independence():
     A = random_spd(n, rng, sparse=True)
     B = sp.identity(n, format="csr")
     results = [
-        smallest_generalized_eigs(A, B, 3, tol=1e-12, seed=s)[0] for s in range(5)
+        smallest_generalized_eigs(A, B, 3, seed=s)[0] for s in range(5)
     ]
     base = results[0]
     for vals in results[1:]:
@@ -292,7 +290,6 @@ def _wg_sparse_path_matches_dense(mesh, nu):
     ref = np.sort(1.0 / theta)
     assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
     assert np.all(report.residuals <= 1e-10)
-    assert report.converged
     assert np.abs(V.T @ (B @ V) - np.eye(4)).max() <= 1e-10
 
 
@@ -349,10 +346,24 @@ def test_eigs_sparse_path_mass_of_low_rank():
     theta = scipy.linalg.eigh(B.toarray(), A.toarray(), eigvals_only=True)
     ref = np.sort(1.0 / theta[-3:])[:2]
     assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
-    assert report.converged
     with pytest.raises(SolverFailure, match="only 3 finite") as info:
         smallest_generalized_eigs(A, B, 4)
-    assert info.value.report.iterations > 0
+    assert info.value.report.iterations == 0
+
+
+def test_eigs_more_pairs_than_the_mass_support_fail_before_the_factor(monkeypatch):
+    # B_rr is SPD, so |r| finite eigenvalues exist: asking for more is refused
+    # before A is factored, without the dense work on all of r
+    def no_factor(self, A):
+        raise AssertionError("A was factored")
+
+    monkeypatch.setattr(SpdFactor, "__init__", no_factor)
+    A = sp.diags(np.arange(1.0, 61.0), format="csr")
+    mass = np.zeros(60)
+    mass[:10] = 1.0
+    with pytest.raises(SolverFailure, match="only 10 finite eigenvalues available") as info:
+        smallest_generalized_eigs(A, sp.diags(mass, format="csr"), 11)
+    assert info.value.report.iterations == 0
 
 
 def test_eigs_rayleigh_ritz_failure_is_solver_failure(monkeypatch):
@@ -368,7 +379,6 @@ def test_eigs_rayleigh_ritz_failure_is_solver_failure(monkeypatch):
     with pytest.raises(SolverFailure, match="Rayleigh-Ritz") as info:
         smallest_generalized_eigs(A, B, 2)
     assert info.value.report.iterations > 0
-    assert not info.value.report.converged
 
 
 class _CountingProducts:
@@ -434,7 +444,6 @@ def test_eigs_mass_of_rank_one_is_solver_failure(monkeypatch):
     with pytest.raises(SolverFailure) as info:
         smallest_generalized_eigs(A, B, 2)
     assert info.value.report.iterations > 0
-    assert not info.value.report.converged
 
     # ARPACK's own report of a singular B inner product (info -9999) maps the same way
     def arpack_breaks(A, k, **kwargs):
@@ -445,7 +454,6 @@ def test_eigs_mass_of_rank_one_is_solver_failure(monkeypatch):
     with pytest.raises(SolverFailure, match="ARPACK") as info:
         smallest_generalized_eigs(A, sp.identity(n, format="csr"), 2)
     assert info.value.report.iterations == 1
-    assert not info.value.report.converged
 
 
 def test_eigs_indefinite_a_is_solver_failure():
@@ -456,14 +464,12 @@ def test_eigs_indefinite_a_is_solver_failure():
     d[4] = -1.0
     with pytest.raises(SolverFailure, match="nonpositive Rayleigh") as info:
         smallest_generalized_eigs(sp.diags(d, format="csr"), sp.identity(20, format="csr"), 2)
-    assert not info.value.report.converged
 
 
 def test_eigs_singular_a_is_solver_failure():
     A = sp.diags(np.r_[0.0, np.arange(1.0, 60.0)], format="csr")
     with pytest.raises(SolverFailure, match="singular") as info:
         smallest_generalized_eigs(A, sp.identity(60, format="csr"), 2)
-    assert not info.value.report.converged
     assert info.value.report.iterations == 0
 
 
@@ -480,7 +486,6 @@ def test_converged_bound_follows_the_rounding_floor():
     B = sp.identity(n, format="csr")
     vals, _, report = smallest_generalized_eigs(A, B, 3)
     assert report.residual > 1e-8
-    assert report.converged
     # the t -> infinity limit: x_2i = x_2i+1 = y_i, K_r y = g 2 y
     P = sp.csr_matrix((np.ones(n), (np.arange(n), pairs)), shape=(n, n // 2))
     limit = np.sort(scipy.linalg.eigvalsh((P.T @ K @ P).toarray()))[:3] / 2
