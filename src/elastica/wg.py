@@ -346,10 +346,6 @@ def assemble_forms(
     MG = np.einsum("tpq,jtqs->jtps", Mpsi, G)
     H = np.einsum("atps,btpr->abtsr", G, MG)  # H[a,b] = G_a^T Mpsi G_b
 
-    Kxx = (2 * mu + lam) * H[0, 0] + mu * H[1, 1]
-    Kyy = (2 * mu + lam) * H[1, 1] + mu * H[0, 0]
-    Kxy = mu * H[1, 0] + lam * H[0, 1]
-
     # stabilization: gamma(h) h_T^{-1} <v0 - vb, w0 - wb>_dT per component
     S = np.zeros((nt, ns, ns))
     for l in range(3):
@@ -357,15 +353,20 @@ def assemble_forms(
         S += np.einsum("tq,tqa,tqb->tab", p["ew_loc"][:, l], J, J)
     S *= (gam / m.h_per_element)[:, None, None]
 
-    K = np.zeros((nt, 2 * ns, 2 * ns))
-    K[:, :ns, :ns] = Kxx + S
-    K[:, ns:, ns:] = Kyy + S
-    K[:, :ns, ns:] = Kxy
-    K[:, ns:, :ns] = Kxy.transpose(0, 2, 1)
-    K = 0.5 * (K + K.transpose(0, 2, 1))
+    K = np.empty((nt, 2 * ns, 2 * ns))
+    K[:, :ns, :ns] = (2 * mu + lam) * H[0, 0] + mu * H[1, 1] + S
+    K[:, ns:, ns:] = (2 * mu + lam) * H[1, 1] + mu * H[0, 0] + S
+    K[:, :ns, ns:] = mu * H[1, 0] + lam * H[0, 1]
+    K[:, ns:, :ns] = K[:, :ns, ns:].transpose(0, 2, 1)
+    del MG, H, S
+    K += K.transpose(0, 2, 1)
+    K *= 0.5
 
+    # an entry of A sums at most two contributions (an edge has two triangles),
+    # so leaving out the positions that are zero in every element keeps every bit
     gidx = space.local_dofs()  # (nt, 2, ns)
-    A = scatter(K, gidx.reshape(nt, 2 * ns), space.num_dofs)
+    A = scatter(K, gidx.reshape(nt, 2 * ns), space.num_dofs,
+                np.flatnonzero((K != 0).any(axis=0)))
     # one P_k mass block per element and component
     Bidx = gidx[:, :, :nk].reshape(2 * nt, nk)
     B = scatter(np.repeat(p["Mphi"], 2, axis=0), Bidx, space.num_dofs)
@@ -373,13 +374,25 @@ def assemble_forms(
     return AssembledSystem(A=A, B=B, free=space.free_dofs())
 
 
-def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum element blocks (ne, d, d) into an n x n matrix at global dofs idx (ne, d)."""
-    d = idx.shape[1]
-    rows = np.repeat(idx, d, axis=1).ravel()
-    cols = np.tile(idx, (1, d)).ravel()
-    A = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    A.eliminate_zeros()  # no stored zeros; dropped after the sum, whose order stays
+def scatter(blocks: np.ndarray, idx: np.ndarray, n: int, pos=None) -> sp.csr_matrix:
+    """Sum element blocks (ne, d, d) into an n x n matrix at global dofs idx (ne, d).
+
+    The flat local positions pos (all d * d when None) of each block go, element
+    by element, into an int32 COO; scipy sums its duplicates and the sum's exact
+    zeros are dropped after.  scipy's summing order depends on a whole row's
+    input, so leaving out positions keeps every bit only where no entry sums
+    more than two terms: CR, whose penalty couples neighbouring edges, sends all.
+    """
+    ne, d = idx.shape
+    pos = np.arange(d * d) if pos is None else pos
+    idx = idx.astype(np.int32)
+    vals = np.take(blocks.reshape(ne, d * d), pos, axis=1).ravel()
+    del blocks  # frees a caller's temporary, such as CR's blocks, before the COO
+    A = sp.coo_matrix(
+        (vals, (np.take(idx, pos // d, axis=1).ravel(), np.take(idx, pos % d, axis=1).ravel())),
+        shape=(n, n),
+    ).tocsr()
+    A.eliminate_zeros()
     return A
 
 
@@ -408,12 +421,14 @@ def solve_source(
 ) -> WgFunction:
     """Solve the source problem a_w(u_h, v) = (f, v_0) on the free dofs."""
     sys = assemble_forms(space, params, stab)
+    free = sys.free
+    A = sys.A[np.ix_(free, free)]
+    del sys  # the factor sets the level's peak; it does not need the full system
     load = _cell_moments(f, space.pack())  # (nt, 2, nk)
     rhs = np.zeros(space.num_dofs)
     rhs[: space.num_interior_dofs] = load.reshape(-1)
-    free = sys.free
     x = np.zeros(space.num_dofs)
-    x[free] = spectra.factorize_spd(sys.A[np.ix_(free, free)]).solve(rhs[free])
+    x[free] = spectra.factorize_spd(A).solve(rhs[free])
     return WgFunction(space=space, coeffs=x)
 
 

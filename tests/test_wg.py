@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -31,7 +34,7 @@ from elastica.wg import (
     weak_gradient_of_field,
     weak_strain,
 )
-from elastica import cr as cr_mod, wg as wg_mod
+from elastica import cr as cr_mod, spectra, wg as wg_mod
 from conftest import PolyField, lshape, square
 
 
@@ -266,30 +269,53 @@ def test_assembled_matrices_symmetric(k):
 
 @pytest.mark.parametrize("method, k", [("wg", 1), ("wg", 2), ("wg", 3), ("cr", 1)])
 def test_assembly_stores_no_zeros(monkeypatch, method, k):
-    # scatter drops exact zeros only after the COO -> CSR sum, so every stored
-    # value is the plain sum of the same blocks in the same order, bit for bit
+    # scatter sums only the positions it is given and drops exact zeros after
+    # the COO -> CSR sum, so every stored value is the plain sum of every block
+    # position, bit for bit; WG leaves out the positions that are zero in every
+    # element, CR sends all of them in their order
     module = wg_mod if method == "wg" else cr_mod
     scatter = module.scatter
-    scattered = []
+    scattered, sent = [], []
 
-    def checked(blocks, idx, n):
-        M = scatter(blocks, idx, n)
+    def checked(blocks, idx, n, pos=None):
+        M = scatter(blocks, idx, n, pos)
         d = idx.shape[1]
         rows, cols = np.repeat(idx, d, axis=1).ravel(), np.tile(idx, (1, d)).ravel()
         plain = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         assert np.array_equal(M.toarray(), plain.toarray())
         scattered.append(M)
+        sent.append(np.arange(d * d) if pos is None else pos)
         return M
 
     monkeypatch.setattr(module, "scatter", checked)
-    m = square(4)
-    if method == "wg":
-        sys = assemble_forms(WgSpace(m, k), PARAMS, STAB)
-    else:
-        sys = assemble_cr(CrSpace(m), PARAMS, STAB)
-    assert len(scattered) == (2 if method == "wg" else 1)  # A and B; CR's B is diagonal
-    for M in scattered + [sys.A, sys.B]:
-        assert np.all(M.data != 0)
+    for m in (square(4), square(4, boundary="bottom"), lshape(4)):
+        scattered.clear()
+        sent.clear()
+        if method == "wg":
+            sys = assemble_forms(WgSpace(m, k), PARAMS, STAB)
+        else:
+            sys = assemble_cr(CrSpace(m), PARAMS, STAB)
+        assert len(scattered) == (2 if method == "wg" else 1)  # A and B; CR's B is diagonal
+        if method == "cr":
+            assert np.array_equal(sent[0], np.arange(36))
+        elif k == 1:
+            # of 18 x 18: at k=1 the weak gradient sees neither the cell dofs
+            # nor the odd edge moments
+            assert len(sent[0]) == 118
+        for M in scattered + [sys.A, sys.B]:
+            assert np.all(M.data != 0)
+
+
+def test_assembly_traced_peak_is_a_few_times_its_matrices():
+    space = WgSpace(square(32), 1)
+    tracemalloc.start()
+    try:
+        sys = assemble_forms(space, PARAMS, STAB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes for M in (sys.A, sys.B))
+    assert peak <= 10 * size
 
 
 def test_mass_matrix_zero_on_edge_dofs():
@@ -385,6 +411,27 @@ def test_solve_source_zero_load():
     space = WgSpace(square(4), 1)
     u = solve_source(space, PARAMS, STAB, lambda x, y: np.zeros(x.shape + (2,)))
     assert np.abs(u.coeffs).max() <= 1e-12
+
+
+def test_source_factor_never_sees_the_full_system(monkeypatch):
+    # solve_source drops the full-size system once it has the free block, so
+    # the factor, the level's peak, does not share memory with it
+    refs = []
+    assemble, factorize = wg_mod.assemble_forms, spectra.factorize_spd
+
+    def kept(*args):
+        sys = assemble(*args)
+        refs.append(weakref.ref(sys))
+        return sys
+
+    def checked(A):
+        assert len(refs) == 1 and refs[0]() is None
+        return factorize(A)
+
+    monkeypatch.setattr(wg_mod, "assemble_forms", kept)
+    monkeypatch.setattr(spectra, "factorize_spd", checked)
+    u = solve_source(WgSpace(square(4), 1), PARAMS, STAB, PolyField(2, np.random.default_rng(3)))
+    assert np.abs(u.coeffs).max() > 0.0
 
 
 def test_norms_basic_properties():
