@@ -17,16 +17,20 @@ All projections solve local Gram systems with quadrature-assembled
 right-hand sides at exactness 2k+2, hence they are exact on polynomial
 inputs of degree up to k+2.  The cell projections of order k read one cell
 table, built by ``_cell_setup`` and shared with the WG pack: the P_{k-1}
-projections use leading slices of its P_k values and Gram matrices.
+projections use leading slices of its P_k values and Gram matrices.  The table
+holds one entry per class of triangles equal up to translation (``_classes``);
+each triangle reads its class's entry.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from ._quadmap import cell_quadrature, edge_quadrature
 from .errors import DegenerateElementError
-from .mesh import Mesh
+from .mesh import Mesh, _build_topology
 from .polyquad import CellBasis, cell_basis_dim, edge_basis
 
 __all__ = [
@@ -48,26 +52,51 @@ def _solve_gram(G, mom):
     return sol.transpose(0, 2, 1).reshape(mom.shape)
 
 
+def _classes(m: Mesh):
+    """Triangles up to translation: (local, cls).  local is a mesh of one disjoint
+    triangle per class with its first vertex at the origin; cls (nt,) is the class
+    of each triangle.  A class shares, exactly, the Jacobian, h_T and the direction
+    of each edge (smaller to larger vertex index), which orients the edge basis."""
+    J, tri, h = m.jacobians(), m.triangles, m.h_per_element
+    bits = tri[:, [1, 2, 0]] < tri[:, [2, 0, 1]]
+    key = np.concatenate([J.reshape(-1, 4), h[:, None], bits], axis=1)
+    _, rep, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    nc = len(rep)
+    # local vertex j of class c is 3 c + its rank in the triangle: every edge keeps its direction
+    local_tri = 3 * np.arange(nc)[:, None] + tri[rep].argsort(axis=1).argsort(axis=1)
+    verts = np.empty((3 * nc, 2))
+    verts[local_tri] = np.concatenate([np.zeros((nc, 1, 2)), J[rep].transpose(0, 2, 1)], axis=1)
+    return replace(_build_topology(verts, local_tri), h_per_element=h[rep]), cls.ravel()
+
+
 def _cell_setup(m: Mesh, k: int) -> dict:
-    """Cell table of order k: quadrature exact to degree 2k+2, the P_k basis,
-    its values phi (nt, nq, dim P_k) and Gram matrices Mphi (nt, dim, dim)."""
-    pts, w = cell_quadrature(m, 2 * k + 2)
-    basis = CellBasis(k, m.centroids(), m.h_per_element)
+    """Cell table of order k per class of m's triangles (see _classes): quadrature
+    exact to degree 2k+2 on the class's local triangle, points pts (nc, nq, 2) from
+    its first vertex and weights w (nc, nq), the P_k basis, its values phi
+    (nc, nq, dim P_k) and Gram matrices Mphi (nc, dim, dim)."""
+    local, cls = _classes(m)
+    pts, w = cell_quadrature(local, 2 * k + 2)
+    basis = CellBasis(k, local.centroids(), local.h_per_element)
     phi = basis.evaluate(pts)
     Mphi = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-    return {"basis": basis, "pts": pts, "w": w, "phi": phi, "Mphi": Mphi}
+    return {"local": local, "cls": cls, "basis": basis, "pts": pts, "w": w, "phi": phi,
+            "Mphi": Mphi}
 
 
-def _cell_moments(f, table) -> np.ndarray:
-    """Moments (f, phi_a)_T against the table's basis, shape (nt, ..., dim P_k)."""
-    pts = table["pts"]
+def _cell_moments(f, m: Mesh, table) -> np.ndarray:
+    """Moments (f, phi_a)_T against the table's basis, shape (nt, ..., dim P_k), with
+    f evaluated at the physical quadrature points of m's triangles."""
+    cls = table["cls"]
+    pts = m.vertices[m.triangles[:, 0]][:, None, :] + table["pts"][cls]
     vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    return np.einsum("tq,tqa,tq...->t...a", table["w"], table["phi"], vals)
+    del pts
+    return np.einsum("tq,tqa,tq...->t...a", table["w"][cls], table["phi"][cls], vals)
 
 
-def _project(f, table, dim: int) -> np.ndarray:
+def _project(f, m: Mesh, table, dim: int) -> np.ndarray:
     """L2 projection onto the leading dim basis functions, shape (nt, ..., dim)."""
-    return _solve_gram(table["Mphi"][:, :dim, :dim], _cell_moments(f, table)[..., :dim])
+    Mphi = table["Mphi"][table["cls"], :dim, :dim]
+    return _solve_gram(Mphi, _cell_moments(f, m, table)[..., :dim])
 
 
 def project_cell(f, m: Mesh, k: int) -> np.ndarray:
@@ -75,7 +104,7 @@ def project_cell(f, m: Mesh, k: int) -> np.ndarray:
 
     Returns coefficients of shape (nt, 2, dim P_k).
     """
-    return _project(f, _cell_setup(m, k), cell_basis_dim(k))
+    return _project(f, m, _cell_setup(m, k), cell_basis_dim(k))
 
 
 def project_cell_scalar(f, m: Mesh, k: int) -> np.ndarray:
@@ -85,7 +114,7 @@ def project_cell_scalar(f, m: Mesh, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("scheme order k must be >= 1")
-    return _project(f, _cell_setup(m, k), cell_basis_dim(k - 1))
+    return _project(f, m, _cell_setup(m, k), cell_basis_dim(k - 1))
 
 
 def project_cell_matrix(F, m: Mesh, k: int) -> np.ndarray:
@@ -95,7 +124,7 @@ def project_cell_matrix(F, m: Mesh, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("scheme order k must be >= 1")
-    return _project(F, _cell_setup(m, k), cell_basis_dim(k - 1))
+    return _project(F, m, _cell_setup(m, k), cell_basis_dim(k - 1))
 
 
 def project_edge(f, m: Mesh, k: int) -> np.ndarray:
@@ -119,7 +148,7 @@ def project_global(f, space) -> "WgFunction":  # noqa: F821
     """
     from .wg import WgFunction
 
-    cell = _project(f, space.pack(), space.nk)
+    cell = _project(f, space.mesh, space.pack(), space.nk)
     edge = project_edge(f, space.mesh, space.order)
     coeffs = np.empty(space.num_dofs)
     coeffs[: space.num_interior_dofs] = cell.reshape(-1)

@@ -26,7 +26,7 @@ from . import spectra
 from ._quadmap import edge_quadrature
 from .mesh import Mesh
 from .polyquad import cell_basis_dim, edge_basis
-from .project import _cell_moments, _cell_setup, _solve_gram
+from .project import _cell_moments, _cell_setup
 
 __all__ = [
     "ElasticParams",
@@ -38,8 +38,6 @@ __all__ = [
     "weak_gradient",
     "weak_strain",
     "weak_divergence",
-    "weak_gradient_of_field",
-    "weak_divergence_of_field",
     "assemble_forms",
     "solve_eigen",
     "solve_source",
@@ -218,44 +216,38 @@ class EigenResult:
 
 
 def _build_pack(space: WgSpace) -> dict:
-    """_cell_setup's table plus the weak-derivative data; P_{k-1} is the leading
-    block of P_k, so psi = phi[..., :nk1] and Mpsi = Mphi[:, :nk1, :nk1]."""
-    m = space.mesh
+    """_cell_setup's table plus the weak-derivative data, per class of triangles on
+    the class's local triangle; P_{k-1} is the leading block of P_k, so
+    psi = phi[..., :nk1] and Mpsi = Mphi[:, :nk1, :nk1]."""
     k, nk1 = space.order, space.nk1
-    h = m.h_per_element
-    p = _cell_setup(m, k)
+    p = _cell_setup(space.mesh, k)
+    local = p["local"]
+    nc = local.num_triangles
     D, Mphi = p["basis"].derivatives(), p["Mphi"]
     Mpsi = Mphi[:, :nk1, :nk1]
-    # Aj[j][t, p, a] = (phi_a, d psi_p / dx_j)_T = h^-1 sum_b D[j, b, p] Mphi[t, b, a]
-    Aj = np.einsum("jbp,tba->jtpa", D[:, :, :nk1], Mphi) / h[:, None, None]
+    # Aj[j][c, p, a] = (phi_a, d psi_p / dx_j)_T = h^-1 sum_b D[j, b, p] Mphi[c, b, a]
+    Aj = np.einsum("jbp,tba->jtpa", D[:, :, :nk1], Mphi) / local.h_per_element[:, None, None]
 
-    tparams, epts, ew = edge_quadrature(m, 2 * k + 2)
+    tparams, epts, ew = edge_quadrature(local, 2 * k + 2)
     chi = edge_basis(k, tparams)  # (nqe, nke)
-    ge = m.tri_edges
-    nt = m.num_triangles
+    ge = local.tri_edges
+    ew_loc = ew[ge]              # (nc, 3, nqe)
+    phi_e = p["basis"].evaluate(epts[ge].reshape(nc, -1, 2)).reshape(ew_loc.shape + (space.nk,))
 
-    ep_loc = epts[ge]            # (nt, 3, nqe, 2)
-    ew_loc = ew[ge]              # (nt, 3, nqe)
-    phi_e = p["basis"].evaluate(ep_loc.reshape(nt, -1, 2)).reshape(ew_loc.shape + (space.nk,))
-    psi_e = phi_e[..., :nk1]
-    nrm = m.outward_normals()    # (nt, 3, 2)
-
-    # Te[t, l, p, mm] = <chi_mm, psi_p>_e
-    Te = np.einsum("tlq,tlqp,qm->tlpm", ew_loc, psi_e, chi)
+    # Te[c, l, p, mm] = <chi_mm, psi_p>_e
+    Te = np.einsum("tlq,tlqp,qm->tlpm", ew_loc, phi_e[..., :nk1], chi)
 
     # weak-derivative maps G_j : local scalar dofs -> P_{k-1} coefficients
-    Nb = np.einsum("tlj,tlpm->jtplm", nrm, Te).reshape(2, nt, nk1, 3 * space.nke)
+    Nb = np.einsum("tlj,tlpm->jtplm", local.outward_normals(), Te)
+    Nb = Nb.reshape(2, nc, nk1, 3 * space.nke)
     G = np.linalg.solve(Mpsi[None, :, :, :], np.concatenate([-Aj, Nb], axis=3))
 
-    return {
-        **p, "D": D, "Mpsi": Mpsi, "chi": chi, "epts": epts, "ew_loc": ew_loc,
-        "phi_e": phi_e, "psi_e": psi_e, "nrm": nrm, "G": G,
-    }
+    return {**p, "D": D, "Mpsi": Mpsi, "chi": chi, "ew_loc": ew_loc, "phi_e": phi_e, "G": G}
 
 
 def _trace_jump(space: WgSpace, l: int) -> np.ndarray:
-    """Map (nt, nqe, ns) from local scalar dofs to v0 - vb at the quadrature
-    points of local edge l: phi_e on the cell columns, -chi on edge l's.
+    """Map (nc, nqe, ns), per class, from local scalar dofs to v0 - vb at the
+    quadrature points of local edge l: phi_e on the cell columns, -chi on edge l's.
     """
     p = space.pack()
     phi_e, chi, nk, nke = p["phi_e"][:, l], p["chi"], space.nk, space.nke
@@ -277,7 +269,7 @@ def weak_gradient(v: WgFunction) -> np.ndarray:
     """
     p = v.space.pack()
     loc = v.local_scalar_dofs()  # (nt, 2, ns)
-    return np.einsum("jtps,tis->tijp", p["G"], loc)
+    return np.einsum("jtps,tis->tijp", p["G"][:, p["cls"]], loc)
 
 
 def weak_strain(v: WgFunction) -> np.ndarray:
@@ -293,34 +285,6 @@ def weak_divergence(v: WgFunction) -> np.ndarray:
     both operators test against the same scalar space.
     """
     g = weak_gradient(v)
-    return g[:, 0, 0, :] + g[:, 1, 1, :]
-
-
-def _field_numerators(f, m: Mesh, k: int):
-    """Numerator moments of the weak-derivative identities for an exact field."""
-    space = WgSpace(m, k)
-    p = space.pack()
-    fe = np.asarray(f(p["epts"][..., 0], p["epts"][..., 1]), dtype=float)
-    fe_loc = fe[m.tri_edges]  # (nt, 3, nqe, 2)
-    # -(f_i, dpsi_p/dx_j)_T + <f_i, psi_p n_j>_dT, where
-    # (f_i, dpsi_p/dx_j)_T = h^-1 sum_b D[j, b, p] (f_i, phi_b)_T
-    cell = -np.einsum("tcb,jbp->tcjp", _cell_moments(f, p), p["D"][:, :, :space.nk1])
-    cell /= m.h_per_element[:, None, None, None]
-    edge = np.einsum(
-        "tlq,tlqc,tlqp,tlj->tcjp", p["ew_loc"], fe_loc, p["psi_e"], p["nrm"]
-    )
-    return space, cell + edge
-
-
-def weak_gradient_of_field(f, m: Mesh, k: int) -> np.ndarray:
-    """Weak gradient of a smooth field taken with exact traces."""
-    space, num = _field_numerators(f, m, k)
-    return _solve_gram(space.pack()["Mpsi"], num)
-
-
-def weak_divergence_of_field(f, m: Mesh, k: int) -> np.ndarray:
-    """Weak divergence of a smooth field taken with exact traces."""
-    g = weak_gradient_of_field(f, m, k)
     return g[:, 0, 0, :] + g[:, 1, 1, :]
 
 
@@ -342,51 +306,56 @@ def assemble_forms(
     mu, lam = params.mu, params.lam
     gam = stab.gamma(m.h_global)
 
+    # one element block per class of triangles
     G, Mpsi = p["G"], p["Mpsi"]
     MG = np.einsum("tpq,jtqs->jtps", Mpsi, G)
     H = np.einsum("atps,btpr->abtsr", G, MG)  # H[a,b] = G_a^T Mpsi G_b
 
     # stabilization: gamma(h) h_T^{-1} <v0 - vb, w0 - wb>_dT per component
-    S = np.zeros((nt, ns, ns))
+    S = np.zeros((len(Mpsi), ns, ns))
     for l in range(3):
         J = _trace_jump(space, l)
         S += np.einsum("tq,tqa,tqb->tab", p["ew_loc"][:, l], J, J)
-    S *= (gam / m.h_per_element)[:, None, None]
+    S *= (gam / p["local"].h_per_element)[:, None, None]
 
-    K = np.empty((nt, 2 * ns, 2 * ns))
+    K = np.empty((len(Mpsi), 2 * ns, 2 * ns))
     K[:, :ns, :ns] = (2 * mu + lam) * H[0, 0] + mu * H[1, 1] + S
     K[:, ns:, ns:] = (2 * mu + lam) * H[1, 1] + mu * H[0, 0] + S
     K[:, :ns, ns:] = mu * H[1, 0] + lam * H[0, 1]
     K[:, ns:, :ns] = K[:, :ns, ns:].transpose(0, 2, 1)
-    del MG, H, S
-    K += K.transpose(0, 2, 1)
-    K *= 0.5
+    K = 0.5 * (K + K.transpose(0, 2, 1))
+    M = p["Mphi"].copy()
+    # rounding noise is no structure: each block stores what exceeds 64 eps of its largest entry
+    for X in (K, M):
+        X[np.abs(X) < 64 * np.finfo(float).eps * np.abs(X).max(axis=(1, 2), keepdims=True)] = 0.0
 
     # an entry of A sums at most two contributions (an edge has two triangles),
-    # so leaving out the positions that are zero in every element keeps every bit
-    gidx = space.local_dofs()  # (nt, 2, ns)
+    # so leaving out the positions that are zero in every class block changes no sum
+    gidx, cls = space.local_dofs(), p["cls"]  # (nt, 2, ns)
     A = scatter(K, gidx.reshape(nt, 2 * ns), space.num_dofs,
-                np.flatnonzero((K != 0).any(axis=0)))
+                np.flatnonzero((K != 0).any(axis=0)), cls)
     # one P_k mass block per element and component
-    Bidx = gidx[:, :, :nk].reshape(2 * nt, nk)
-    B = scatter(np.repeat(p["Mphi"], 2, axis=0), Bidx, space.num_dofs)
+    B = scatter(M, gidx[:, :, :nk].reshape(2 * nt, nk), space.num_dofs,
+                np.flatnonzero((M != 0).any(axis=0)), np.repeat(cls, 2))
 
     return AssembledSystem(A=A, B=B, free=space.free_dofs())
 
 
-def scatter(blocks: np.ndarray, idx: np.ndarray, n: int, pos=None) -> sp.csr_matrix:
-    """Sum element blocks (ne, d, d) into an n x n matrix at global dofs idx (ne, d).
+def scatter(blocks: np.ndarray, idx: np.ndarray, n: int, pos=None,
+            cls=slice(None)) -> sp.csr_matrix:
+    """Sum element blocks into an n x n matrix at global dofs idx (ne, d).
 
-    The flat local positions pos (all d * d when None) of each block go, element
-    by element, into an int32 COO; scipy sums its duplicates and the sum's exact
-    zeros are dropped after.  scipy's summing order depends on a whole row's
-    input, so leaving out positions keeps every bit only where no entry sums
-    more than two terms: CR, whose penalty couples neighbouring edges, sends all.
+    Element e's block is blocks[cls[e]] (by default blocks holds one block per
+    element).  The flat local positions pos (all d * d when None) of each element
+    go, element by element, into an int32 COO; scipy sums its duplicates and the
+    sum's exact zeros are dropped after.  scipy's summing order depends on a whole
+    row's input, so leaving out positions keeps every bit only where no entry
+    sums more than two terms: CR, whose penalty couples neighbouring edges, sends all.
     """
-    ne, d = idx.shape
+    d = idx.shape[1]
     pos = np.arange(d * d) if pos is None else pos
     idx = idx.astype(np.int32)
-    vals = np.take(blocks.reshape(ne, d * d), pos, axis=1).ravel()
+    vals = np.take(blocks.reshape(-1, d * d), pos, axis=1)[cls].ravel()
     del blocks  # frees a caller's temporary, such as CR's blocks, before the COO
     A = sp.coo_matrix(
         (vals, (np.take(idx, pos // d, axis=1).ravel(), np.take(idx, pos % d, axis=1).ravel())),
@@ -424,7 +393,7 @@ def solve_source(
     free = sys.free
     A = sys.A[np.ix_(free, free)]
     del sys  # the factor sets the level's peak; it does not need the full system
-    load = _cell_moments(f, space.pack())  # (nt, 2, nk)
+    load = _cell_moments(f, space.mesh, space.pack())  # (nt, 2, nk)
     rhs = np.zeros(space.num_dofs)
     rhs[: space.num_interior_dofs] = load.reshape(-1)
     x = np.zeros(space.num_dofs)
@@ -440,25 +409,24 @@ def norms(v: WgFunction, params: ElasticParams) -> tuple[float, float]:
     """
     space = v.space
     p = space.pack()
+    cls, h = p["cls"], space.mesh.h_per_element
     c0 = v.interior()  # (nt, 2, nk)
 
     # grad(v0)[t, c, j, b] = h^-1 sum_a D[j, b, a] c0[t, c, a], in P_{k-1}
     grad = np.einsum("jba,tca->tcjb", p["D"][:, :space.nk1], c0)
-    grad /= space.mesh.h_per_element[:, None, None, None]
+    grad /= h[:, None, None, None]
     eps = 0.5 * (grad + grad.transpose(0, 2, 1, 3))
-    strain_sq = np.einsum("tcjp,tpq,tcjq->", eps, p["Mpsi"], eps)
+    strain_sq = np.einsum("tcjp,tpq,tcjq->", eps, p["Mpsi"][cls], eps)
 
     dv = weak_divergence(v)
-    div_sq = np.einsum("tp,tpq,tq->", dv, p["Mpsi"], dv)
+    div_sq = np.einsum("tp,tpq,tq->", dv, p["Mpsi"][cls], dv)
 
     loc = v.local_scalar_dofs()
     jump_sq = 0.0
     for l in range(3):
-        diff = np.einsum("tqs,tcs->tqc", _trace_jump(space, l), loc)
-        jump_sq += np.einsum(
-            "t,tq,tqc,tqc->", 1.0 / space.mesh.h_per_element, p["ew_loc"][:, l], diff, diff
-        )
+        diff = np.einsum("tqs,tcs->tqc", _trace_jump(space, l)[cls], loc)
+        jump_sq += np.einsum("t,tq,tqc,tqc->", 1.0 / h, p["ew_loc"][cls, l], diff, diff)
 
     vnorm = np.sqrt(strain_sq + params.lam * div_sq + jump_sq)
-    xnorm = np.sqrt(np.einsum("tca,tab,tcb->", c0, p["Mphi"], c0))
+    xnorm = np.sqrt(np.einsum("tca,tab,tcb->", c0, p["Mphi"][cls], c0))
     return float(vnorm), float(xnorm)

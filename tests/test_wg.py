@@ -14,10 +14,13 @@ from elastica import (
     assemble_cr,
     assemble_forms,
     build_square_mesh,
+    classify_boundary,
+    full_dirichlet,
     solve_eigen,
     solve_source,
 )
 from elastica._quadmap import cell_quadrature, edge_quadrature
+from elastica.mesh import _build_topology
 from elastica.polyquad import CellBasis, edge_basis
 from elastica.project import (
     project_cell_matrix,
@@ -29,9 +32,7 @@ from elastica.wg import (
     _trace_jump,
     norms,
     weak_divergence,
-    weak_divergence_of_field,
     weak_gradient,
-    weak_gradient_of_field,
     weak_strain,
 )
 from elastica import cr as cr_mod, spectra, wg as wg_mod
@@ -137,11 +138,13 @@ def _quadrature_pack(space):
 @pytest.mark.parametrize("mesh", [square(2), lshape(2)], ids=["square", "lshape"])
 def test_pack_matches_quadrature_of_a_separate_lower_basis(mesh, k):
     # the pack takes P_{k-1} as the leading block of P_k and differentiates through D
+    # of each triangle's class, on the class's local triangle
     space = WgSpace(mesh, k)
     p = space.pack()
+    Mpsi_pack, G_pack = p["Mpsi"][p["cls"]], p["G"][:, p["cls"]]
     Mpsi, Aj, G = _quadrature_pack(space)
-    Aj_pack = -np.einsum("tpq,jtqa->jtpa", p["Mpsi"], p["G"][..., :space.nk])
-    for got, want in ((p["Mpsi"], Mpsi), (Aj_pack, Aj), (p["G"], G)):
+    Aj_pack = -np.einsum("tpq,jtqa->jtpa", Mpsi_pack, G_pack[..., :space.nk])
+    for got, want in ((Mpsi_pack, Mpsi), (Aj_pack, Aj), (G_pack, G)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -154,10 +157,11 @@ def test_stabilizer_is_the_jump_energy_of_the_norm(k):
     stabs = StabilizationConfig(delta=0.05), StabilizationConfig(delta=2.0)
     A1, A2 = (assemble_forms(space, PARAMS, s).A for s in stabs)
     v = WgFunction(space, np.random.default_rng(k).standard_normal(space.num_dofs))
-    loc, ew_loc = v.local_scalar_dofs(), space.pack()["ew_loc"]
+    cls = space.pack()["cls"]
+    loc, ew_loc = v.local_scalar_dofs(), space.pack()["ew_loc"][cls]
     energy = 0.0
     for l in range(3):
-        d = np.einsum("tqs,tcs->tqc", _trace_jump(space, l), loc)
+        d = np.einsum("tqs,tcs->tqc", _trace_jump(space, l)[cls], loc)
         energy += np.einsum("t,tq,tqc,tqc->", 1 / m.h_per_element, ew_loc[:, l], d, d)
     gap = stabs[0].gamma(m.h_global) - stabs[1].gamma(m.h_global)
     assert v.coeffs @ ((A1 - A2) @ v.coeffs) == pytest.approx(gap * energy, rel=1e-12)
@@ -239,23 +243,76 @@ def test_commutativity_on_random_polynomials(k, count):
         assert np.abs(d - project_cell_scalar(field.divergence(), m, k)).max() <= 1e-11
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_lifting_exact_traces_equal_projected_traces(k):
+def _weak_gradient_of_field(f, m, k):
+    """Weak gradient of a smooth field from its exact traces, shape (nt, 2, 2, dim
+    P_{k-1}): the Gram solve of -(f_i, d psi_p/dx_j)_T + <f_i, psi_p n_j>_dT by
+    quadrature on m's triangles, with a separate P_{k-1} basis."""
+    nt = m.num_triangles
+    pts, w = cell_quadrature(m, 2 * k + 2)
+    basis = CellBasis(k - 1, m.centroids(), m.h_per_element)
+    psi = basis.evaluate(pts)
+    Mpsi = np.einsum("tq,tqi,tqj->tij", w, psi, psi)
+    num = -np.einsum("tq,tqc,tqpj->tcjp", w, f(pts[..., 0], pts[..., 1]),
+                     _monomial_gradient(basis, pts))
+    _, epts, ew = edge_quadrature(m, 2 * k + 2)
+    ep = epts[m.tri_edges]  # (nt, 3, nqe, 2)
+    psi_e = basis.evaluate(ep.reshape(nt, -1, 2)).reshape(ep.shape[:3] + (-1,))
+    num += np.einsum("tlq,tlqc,tlqp,tlj->tcjp", ew[m.tri_edges], f(ep[..., 0], ep[..., 1]),
+                     psi_e, m.outward_normals())
+    return np.linalg.solve(Mpsi[:, None, None], num[..., None])[..., 0]
+
+
+def _jittered_square(n, seed):
+    """square(n) with every interior vertex moved by up to h/5 in each direction."""
+    m = build_square_mesh(n)
+    v = m.vertices.copy()
+    inner = np.all((v > 0) & (v < 1), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(-0.2, 0.2, (inner.sum(), 2)) / n
+    return classify_boundary(_build_topology(v, m.triangles), full_dirichlet())
+
+
+def _smooth_field(x, y):
+    s = np.sin(np.pi * x) * np.sin(np.pi * y)
+    c = np.cos(np.pi * x) * y
+    return np.stack([s, c], axis=-1)
+
+
+def _check_lifting(space):
     # computing the weak operators from exact traces of a smooth field
     # gives the same result as computing them from its projection
-    m = square(3)
+    v = project_global(_smooth_field, space)
+    g = _weak_gradient_of_field(_smooth_field, space.mesh, space.order)
+    assert np.abs(weak_gradient(v) - g).max() <= 1e-11
+    assert np.abs(weak_divergence(v) - (g[:, 0, 0] + g[:, 1, 1])).max() <= 1e-11
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lifting_exact_traces_equal_projected_traces(k):
+    _check_lifting(WgSpace(square(3), k))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_lab_meshes_have_two_classes(n):
+    # every triangle of the square and the L-shape is a translate of one of two
+    for m in (square(n), lshape(n)):
+        p = WgSpace(m, 1).pack()
+        assert len(p["Mphi"]) == 2 and p["cls"].shape == (m.num_triangles,)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_jittered_mesh_has_a_class_per_triangle_and_commutes(k):
+    m = _jittered_square(4, 6)
     space = WgSpace(m, k)
-
-    def f(x, y):
-        s = np.sin(np.pi * x) * np.sin(np.pi * y)
-        c = np.cos(np.pi * x) * y
-        return np.stack([s, c], axis=-1)
-
-    v = project_global(f, space)
-    assert np.abs(weak_gradient(v) - weak_gradient_of_field(f, m, k)).max() <= 1e-11
-    assert (
-        np.abs(weak_divergence(v) - weak_divergence_of_field(f, m, k)).max() <= 1e-11
-    )
+    assert len(space.pack()["Mphi"]) == m.num_triangles
+    _check_lifting(space)
+    rng = np.random.default_rng(200 + k)
+    for _ in range(10):
+        field = PolyField(k + 1, rng)
+        v = project_global(field, space)
+        g = project_cell_matrix(field.gradient(), m, k)
+        assert np.abs(weak_gradient(v) - g).max() <= 1e-11
+        d = project_cell_scalar(field.divergence(), m, k)
+        assert np.abs(weak_divergence(v) - d).max() <= 1e-11
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -271,17 +328,18 @@ def test_assembled_matrices_symmetric(k):
 def test_assembly_stores_no_zeros(monkeypatch, method, k):
     # scatter sums only the positions it is given and drops exact zeros after
     # the COO -> CSR sum, so every stored value is the plain sum of every block
-    # position, bit for bit; WG leaves out the positions that are zero in every
-    # element, CR sends all of them in their order
+    # position, bit for bit; WG sends one block per class of triangles and leaves
+    # out the positions that are zero in every class block, CR sends one block per
+    # element and all of its positions in their order
     module = wg_mod if method == "wg" else cr_mod
     scatter = module.scatter
     scattered, sent = [], []
 
-    def checked(blocks, idx, n, pos=None):
-        M = scatter(blocks, idx, n, pos)
+    def checked(blocks, idx, n, pos=None, cls=slice(None)):
+        M = scatter(blocks, idx, n, pos, cls)
         d = idx.shape[1]
         rows, cols = np.repeat(idx, d, axis=1).ravel(), np.tile(idx, (1, d)).ravel()
-        plain = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        plain = sp.coo_matrix((blocks[cls].ravel(), (rows, cols)), shape=(n, n)).tocsr()
         assert np.array_equal(M.toarray(), plain.toarray())
         scattered.append(M)
         sent.append(np.arange(d * d) if pos is None else pos)
@@ -304,6 +362,16 @@ def test_assembly_stores_no_zeros(monkeypatch, method, k):
             assert len(sent[0]) == 118
         for M in scattered + [sys.A, sys.B]:
             assert np.all(M.data != 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wg_matrices_store_no_rounding_noise(k):
+    # each class block drops what is below 64 eps of its largest entry, so no
+    # stored entry of A or B is rounding noise
+    for m in (square(8), lshape(4)):
+        sys = assemble_forms(WgSpace(m, k), PARAMS, STAB)
+        for M in (sys.A, sys.B):
+            assert np.abs(M.data).min() >= 1e-14 * np.abs(M.data).max()
 
 
 def test_assembly_traced_peak_is_a_few_times_its_matrices():
