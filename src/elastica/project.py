@@ -69,16 +69,22 @@ def _classes(m: Mesh):
     return replace(_build_topology(verts, local_tri), h_per_element=h[rep]), cls.ravel()
 
 
+def _drop_noise(X: np.ndarray) -> np.ndarray:
+    """X without its rounding noise: entries below 64 eps of their block's largest."""
+    X[np.abs(X) < 64 * np.finfo(float).eps * np.abs(X).max(axis=(-2, -1), keepdims=True)] = 0.0
+    return X
+
+
 def _cell_setup(m: Mesh, k: int) -> dict:
     """Cell table of order k per class of m's triangles (see _classes): quadrature
     exact to degree 2k+2 on the class's local triangle, points pts (nc, nq, 2) from
     its first vertex and weights w (nc, nq), the P_k basis, its values phi
-    (nc, nq, dim P_k) and Gram matrices Mphi (nc, dim, dim)."""
+    (nc, nq, dim P_k) and Gram matrices Mphi (nc, dim, dim), without their noise."""
     local, cls = _classes(m)
     pts, w = cell_quadrature(local, 2 * k + 2)
     basis = CellBasis(k, local.centroids(), local.h_per_element)
     phi = basis.evaluate(pts)
-    Mphi = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
+    Mphi = _drop_noise(np.einsum("tq,tqi,tqj->tij", w, phi, phi))
     return {"local": local, "cls": cls, "basis": basis, "pts": pts, "w": w, "phi": phi,
             "Mphi": Mphi}
 

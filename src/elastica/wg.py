@@ -26,7 +26,7 @@ from . import spectra
 from ._quadmap import edge_quadrature
 from .mesh import Mesh
 from .polyquad import cell_basis_dim, edge_basis
-from .project import _cell_moments, _cell_setup
+from .project import _cell_moments, _cell_setup, _drop_noise
 
 __all__ = [
     "ElasticParams",
@@ -306,17 +306,17 @@ def assemble_forms(
     mu, lam = params.mu, params.lam
     gam = stab.gamma(m.h_global)
 
-    # one element block per class of triangles
+    # one element block per class; H and S lose their noise before E and nu scale them
     G, Mpsi = p["G"], p["Mpsi"]
     MG = np.einsum("tpq,jtqs->jtps", Mpsi, G)
-    H = np.einsum("atps,btpr->abtsr", G, MG)  # H[a,b] = G_a^T Mpsi G_b
+    H = _drop_noise(np.einsum("atps,btpr->abtsr", G, MG))  # H[a,b] = G_a^T Mpsi G_b
 
     # stabilization: gamma(h) h_T^{-1} <v0 - vb, w0 - wb>_dT per component
     S = np.zeros((len(Mpsi), ns, ns))
     for l in range(3):
         J = _trace_jump(space, l)
         S += np.einsum("tq,tqa,tqb->tab", p["ew_loc"][:, l], J, J)
-    S *= (gam / p["local"].h_per_element)[:, None, None]
+    S = _drop_noise(S) * (gam / p["local"].h_per_element)[:, None, None]
 
     K = np.empty((len(Mpsi), 2 * ns, 2 * ns))
     K[:, :ns, :ns] = (2 * mu + lam) * H[0, 0] + mu * H[1, 1] + S
@@ -324,10 +324,6 @@ def assemble_forms(
     K[:, :ns, ns:] = mu * H[1, 0] + lam * H[0, 1]
     K[:, ns:, :ns] = K[:, :ns, ns:].transpose(0, 2, 1)
     K = 0.5 * (K + K.transpose(0, 2, 1))
-    M = p["Mphi"].copy()
-    # rounding noise is no structure: each block stores what exceeds 64 eps of its largest entry
-    for X in (K, M):
-        X[np.abs(X) < 64 * np.finfo(float).eps * np.abs(X).max(axis=(1, 2), keepdims=True)] = 0.0
 
     # an entry of A sums at most two contributions (an edge has two triangles),
     # so leaving out the positions that are zero in every class block changes no sum
@@ -335,8 +331,8 @@ def assemble_forms(
     A = scatter(K, gidx.reshape(nt, 2 * ns), space.num_dofs,
                 np.flatnonzero((K != 0).any(axis=0)), cls)
     # one P_k mass block per element and component
-    B = scatter(M, gidx[:, :, :nk].reshape(2 * nt, nk), space.num_dofs,
-                np.flatnonzero((M != 0).any(axis=0)), np.repeat(cls, 2))
+    B = scatter(p["Mphi"], gidx[:, :, :nk].reshape(2 * nt, nk), space.num_dofs,
+                np.flatnonzero((p["Mphi"] != 0).any(axis=0)), np.repeat(cls, 2))
 
     return AssembledSystem(A=A, B=B, free=space.free_dofs())
 

@@ -366,12 +366,36 @@ def test_assembly_stores_no_zeros(monkeypatch, method, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_wg_matrices_store_no_rounding_noise(k):
-    # each class block drops what is below 64 eps of its largest entry, so no
-    # stored entry of A or B is rounding noise
+    # each unscaled class piece drops what is below 64 eps of its largest entry,
+    # so no stored entry of A or B is rounding noise
     for m in (square(8), lshape(4)):
         sys = assemble_forms(WgSpace(m, k), PARAMS, STAB)
         for M in (sys.A, sys.B):
             assert np.abs(M.data).min() >= 1e-14 * np.abs(M.data).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wg_pattern_and_stabilizer_do_not_depend_on_the_material(k):
+    # the noise is cut from the elastic and stabilizer pieces before E and nu scale
+    # them: the stabilizer carries no material constant, so a cut on the scaled sum
+    # would drop real stabilizer entries at a large E or lambda
+    for m in (square(4), lshape(4)):
+        space = WgSpace(m, k)
+        A1, A2 = (assemble_forms(space, ElasticParams(E=E, nu=0.49), STAB).A for E in (1.0, 2.0))
+        for params in (ElasticParams(E=1e9, nu=0.49), ElasticParams(E=1e13, nu=0.49),
+                       ElasticParams(E=1.0, nu=0.499999)):
+            A = assemble_forms(space, params, STAB).A
+            assert np.array_equal(A.indptr, A1.indptr) and np.array_equal(A.indices, A1.indices)
+        # a_w is affine in E: A(1e9) - A(1) = (1e9 - 1) (A(2) - A(1))
+        A9 = assemble_forms(space, ElasticParams(E=1e9, nu=0.49), STAB).A
+        lin = A9 - A1 - (1e9 - 1.0) * (A2 - A1)
+        assert abs(lin).max() <= 1e-13 * abs(A9).max()
+        if k == 1:
+            # the weak gradient does not see the cell dofs, so their rows are the
+            # stabilizer alone, the same at every E
+            rows = slice(0, space.num_interior_dofs)
+            A13 = assemble_forms(space, ElasticParams(E=1e13, nu=0.49), STAB).A
+            assert (A13[rows] != A1[rows]).nnz == 0 and A1[rows].nnz > 0
 
 
 def test_assembly_traced_peak_is_a_few_times_its_matrices():
