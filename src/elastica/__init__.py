@@ -12,7 +12,6 @@ from .mesh import (
     build_lshape_mesh,
     build_square_mesh,
     classify_boundary,
-    dump_mesh,
     full_dirichlet,
     refine_uniform,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "build_lshape_mesh",
     "build_square_mesh",
     "classify_boundary",
-    "dump_mesh",
     "full_dirichlet",
     "refine_uniform",
     "AssembledSystem",

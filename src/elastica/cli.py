@@ -51,7 +51,7 @@ _KEYS = {
     "eigs": (int, "number of eigenpairs"),
     "format": (_one_of("csv", "md"), "csv or md"),
     "out": (str, "output file path"),
-    "nus": (_numbers(float), "comma-separated Poisson ratios for a locking sweep"),
+    "nus": (_numbers(float), "comma-separated Poisson ratios; one table each at --out -nu<ratio>"),
     "check_lower": (_parse_bool, "fail (exit 3) unless the gamma ladder is monotone "
                                  "and below its Richardson limit"),
 }
@@ -131,11 +131,14 @@ def _configure(args):
     out = merged["out"]
     if not out:
         raise ValueError("out: the path is empty")
-    if os.path.isdir(out):
-        raise ValueError(f"out: {out!r} is a directory")
+    root, ext = os.path.splitext(out)
+    paths = [f"{root}-nu{nu}{ext}" for nu in dict.fromkeys(nus)] or [out]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"out: {path!r} is a directory")
     if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
         raise ValueError(f"out: the directory of {out!r} is missing or not writable")
-    return merged, cfg, nus
+    return merged, cfg, nus, paths
 
 
 def main(argv=None) -> int:
@@ -143,15 +146,15 @@ def main(argv=None) -> int:
         args, unknown = build_parser().parse_known_args(argv)
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-        merged, cfg, nus = _configure(args)
+        merged, cfg, nus, paths = _configure(args)
     except (OSError, ValueError) as exc:
         print(f"elastica: invalid configuration: {exc}", file=sys.stderr)
         return 4
 
     if nus:
         sweep = lab.locking_sweep(cfg, nus)
-        # message tag -> table, one per nu; the first is written
-        tables = {f" (nu={nu})": sweep["tables"][nu] for nu in nus}
+        # message tag -> table, one per distinct nu, in the order of paths
+        tables = {f" (nu={nu})": table for nu, table in sweep["tables"].items()}
         dev = sweep["max_rel_deviation"]
         print("max relative eigenfrequency deviation across nu values:")
         for j in range(dev.shape[0]):
@@ -160,8 +163,9 @@ def main(argv=None) -> int:
     else:
         tables = {"": lab.run_experiment(cfg)}
 
-    lab.emit(next(iter(tables.values())), merged["format"], merged["out"])
-    print(f"wrote {merged['out']}")
+    for path, table in zip(paths, tables.values()):
+        lab.emit(table, merged["format"], path)
+        print(f"wrote {path}")
     failed = [
         f"solver failure at level {level}{tag}: {msg}"
         for tag, table in tables.items()

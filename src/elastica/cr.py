@@ -20,7 +20,7 @@ from .wg import (
     _Coefficients,
     _EdgeLayout,
     scatter,
-    solve_eigen,  # kept importable from here: CR systems use the same driver
+    solve_eigen,  # only for perfbench/spans.py, which wraps cr.solve_eigen; ROADMAP 1b drops it
 )
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "CrFunction",
     "interpolate",
     "assemble_cr",
-    "cr_norm",
     "jump_values",
 ]
 
@@ -72,13 +71,6 @@ class CrFunction(_Coefficients):
     def edge_means(self) -> np.ndarray:
         """Per-edge vector dofs, shape (ne, 2)."""
         return self.coeffs.reshape(self.space.mesh.num_edges, 2)
-
-    def element_values(self, pts: np.ndarray) -> np.ndarray:
-        """Values at per-element points pts (nt, nq, 2) -> (nt, nq, 2)."""
-        m = self.space.mesh
-        theta = self.space.basis_at(np.arange(m.num_triangles), pts)
-        c = self.edge_means()[m.tri_edges]  # (nt, 3, 2)
-        return np.einsum("tql,tlc->tqc", theta, c)
 
 
 def interpolate(f, space: CrSpace) -> CrFunction:
@@ -157,23 +149,3 @@ def jump_values(v: CrFunction):
     """
     ie, J, w_ie, edof = _jumps(v.space)
     return ie, np.einsum("eqa,eac->eqc", J, v.edge_means()[edof]), w_ie
-
-
-def cr_norm(v: CrFunction, params: ElasticParams) -> float:
-    """Discrete norm: 2mu strain + lambda divergence + scaled jump terms."""
-    m = v.space.mesh
-    mu, lam = params.mu, params.lam
-    area = m.areas()
-    g = -2.0 * v.space._bary_grads()
-    c = v.edge_means()[m.tri_edges]  # (nt, 3, 2)
-    grad = np.einsum("tlc,tlj->tcj", c, g)  # constant per element
-    eps = 0.5 * (grad + grad.transpose(0, 2, 1))
-    strain_sq = np.einsum("t,tij,tij->", area, eps, eps)
-    div = np.einsum("tcc->t", grad)
-    div_sq = float(area @ div**2)
-
-    ie, jumps, w_ie = jump_values(v)
-    jump_sq = float(
-        np.einsum("e,eq,eqc,eqc->", 1.0 / m.edge_lengths()[ie], w_ie, jumps, jumps)
-    )
-    return float(np.sqrt(2.0 * mu * strain_sq + lam * div_sq + jump_sq))

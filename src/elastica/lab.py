@@ -37,7 +37,6 @@ from .polyquad import MAX_TRIANGLE_DEGREE
 __all__ = [
     "ExperimentConfig",
     "RateTable",
-    "convergence_order",
     "richardson_limit",
     "run_experiment",
     "locking_sweep",

@@ -1,10 +1,10 @@
 """Triangulations of the unit square and L-shaped domains.
 
 Meshes carry full edge topology (edge -> incident triangles, triangle ->
-edges) plus Dirichlet/Neumann tagging of boundary edges.  All meshes are
-conforming triangulations; construction routines produce the structured
-uniform diagonal-split pattern.  A mesh is immutable after construction:
-tagging returns a new object.
+edges) plus a mask of the Dirichlet edges.  All meshes are conforming
+triangulations; construction routines produce the structured uniform
+diagonal-split pattern.  A mesh is immutable after construction:
+classify_boundary returns a new object.
 """
 
 from __future__ import annotations
@@ -19,19 +19,18 @@ __all__ = [
     "build_lshape_mesh",
     "refine_uniform",
     "classify_boundary",
-    "dump_mesh",
     "full_dirichlet",
     "bottom_dirichlet",
 ]
 
 
 def full_dirichlet():
-    """Predicate tagging the whole boundary as Dirichlet."""
+    """Predicate marking the whole boundary as Dirichlet."""
     return lambda x, y: True
 
 
 def bottom_dirichlet():
-    """Predicate tagging only the bottom side y=0 as Dirichlet."""
+    """Predicate marking only the bottom side y=0 as Dirichlet."""
     return lambda x, y: abs(y) < 1e-10
 
 
@@ -53,9 +52,8 @@ class Mesh:
     tri_edges : (nt, 3) int array
         Global edge index of each local edge; local edge l is opposite
         local vertex l.
-    edge_tags : (ne,) unicode array
-        '' for interior edges, 'D'/'N' for tagged boundary edges, 'B' for
-        untagged boundary edges.
+    dirichlet : (ne,) bool array
+        True on the Dirichlet boundary edges; never on an interior edge.
     h_per_element : (nt,) float array
         Element diameters (longest edge).
     h_global : float
@@ -67,7 +65,7 @@ class Mesh:
     edges: np.ndarray = field(repr=False, default=None)
     edge_tris: np.ndarray = field(repr=False, default=None)
     tri_edges: np.ndarray = field(repr=False, default=None)
-    edge_tags: np.ndarray = field(repr=False, default=None)
+    dirichlet: np.ndarray = field(repr=False, default=None)
     h_per_element: np.ndarray = field(repr=False, default=None)
     h_global: float = 0.0
 
@@ -93,11 +91,7 @@ class Mesh:
 
     @property
     def dirichlet_edges(self) -> np.ndarray:
-        return np.where(self.edge_tags == "D")[0]
-
-    @property
-    def neumann_edges(self) -> np.ndarray:
-        return np.where(self.edge_tags == "N")[0]
+        return np.flatnonzero(self.dirichlet)
 
     def edge_lengths(self) -> np.ndarray:
         return _lengths(self.vertices, self.edges)
@@ -111,9 +105,6 @@ class Mesh:
 
     def areas(self) -> np.ndarray:
         return 0.5 * np.abs(_cross(self.vertices, self.triangles))
-
-    def signed_areas(self) -> np.ndarray:
-        return 0.5 * _cross(self.vertices, self.triangles)
 
     def jacobians(self) -> np.ndarray:
         """Affine maps of the reference triangle, shape (nt, 2, 2)."""
@@ -179,9 +170,6 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     shared = counts == 2
     edge_tris[shared, 1] = tri_of_entry[start[shared] + 1]
 
-    edge_tags = np.full(ne, "", dtype="<U1")
-    edge_tags[~shared] = "B"
-
     h_per_element = _lengths(vertices, edges)[tri_edges].max(axis=1)
 
     return Mesh(
@@ -190,7 +178,7 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
         edges=edges,
         edge_tris=edge_tris,
         tri_edges=tri_edges,
-        edge_tags=edge_tags,
+        dirichlet=np.zeros(ne, dtype=bool),
         h_per_element=h_per_element,
         h_global=float(h_per_element.max()),
     )
@@ -241,7 +229,7 @@ def build_lshape_mesh(n: int) -> Mesh:
 def refine_uniform(m: Mesh) -> Mesh:
     """Red refinement: each triangle split into 4 congruent children.
 
-    Boundary tags are inherited by the two halves of each tagged edge.
+    The two halves of each Dirichlet edge are Dirichlet.
     """
     nv = m.num_vertices
     new_verts = np.vstack([m.vertices, m.edge_midpoints()])
@@ -261,18 +249,18 @@ def refine_uniform(m: Mesh) -> Mesh:
     # a boundary child edge joins a parent vertex to the midpoint nv + e of
     # its parent edge e, so its larger vertex id names the parent
     b = refined.boundary_edges
-    tags = refined.edge_tags.copy()
-    tags[b] = m.edge_tags[refined.edges[b, 1] - nv]
-    return replace(refined, edge_tags=tags)
+    dirichlet = refined.dirichlet.copy()
+    dirichlet[b] = m.dirichlet[refined.edges[b, 1] - nv]
+    return replace(refined, dirichlet=dirichlet)
 
 
 def classify_boundary(m: Mesh, predicate) -> Mesh:
-    """Tag boundary edges as Dirichlet ('D') or Neumann ('N').
+    """Mark the Dirichlet boundary edges.
 
     ``predicate(x, y)`` is called once, with the (nb,) float arrays of the
     boundary-edge midpoint coordinates.  It returns an (nb,) boolean array,
     or a scalar that applies to every edge.  Edges where it is True are
-    tagged Dirichlet, the rest Neumann.
+    Dirichlet, the rest of the boundary is traction-free.
 
     Raises ValueError when the predicate selects no Dirichlet edge (the
     eigenvalue problem needs |Gamma_D| > 0).
@@ -282,20 +270,6 @@ def classify_boundary(m: Mesh, predicate) -> Mesh:
     dirichlet = np.broadcast_to(np.asarray(predicate(x, y), dtype=bool), b.shape)
     if not dirichlet.any():
         raise ValueError("boundary predicate selects no Dirichlet edge")
-    tags = m.edge_tags.copy()
-    tags[b] = np.where(dirichlet, "D", "N")
-    return replace(m, edge_tags=tags)
-
-
-def dump_mesh(m: Mesh, path) -> None:
-    """Plain-text dump: `v x y`, `t i j k`, `e i j {D|N}` lines."""
-    with open(path, "w") as fh:
-        for x, y in m.vertices.tolist():
-            fh.write(f"v {x!r} {y!r}\n")
-        for i, j, k in m.triangles:
-            fh.write(f"t {i} {j} {k}\n")
-        for e_id in m.boundary_edges:
-            tag = m.edge_tags[e_id]
-            if tag in ("D", "N"):
-                i, j = m.edges[e_id]
-                fh.write(f"e {i} {j} {tag}\n")
+    mask = np.zeros(m.num_edges, dtype=bool)
+    mask[b] = dirichlet
+    return replace(m, dirichlet=mask)

@@ -2,11 +2,10 @@
 
 The projection family used by the weak Galerkin scheme of order k:
 
-* cell vector projection onto [P_k(T)]^2,
-* edge vector projection onto [P_k(e)]^2,
+* the combined projection into the WG space: the cell vector projection
+  onto [P_k(T)]^2 and the edge vector projection onto [P_k(e)]^2,
 * cell scalar projection onto P_{k-1}(T),
-* cell matrix projection onto [P_{k-1}(T)]^{2x2} (componentwise scalar),
-* the combined interior/edge projection into the WG space.
+* cell matrix projection onto [P_{k-1}(T)]^{2x2} (componentwise scalar).
 
 Fields are supplied as vectorized callables: ``f(x, y)`` receives
 coordinate arrays of a common shape and returns an array of shape
@@ -34,8 +33,6 @@ from .mesh import Mesh, _build_topology
 from .polyquad import CellBasis, cell_basis_dim, edge_basis
 
 __all__ = [
-    "project_cell",
-    "project_edge",
     "project_cell_scalar",
     "project_cell_matrix",
     "project_global",
@@ -103,14 +100,6 @@ def _project(f, m: Mesh, table, dim: int) -> np.ndarray:
     """L2 projection onto the leading dim basis functions, shape (nt, ..., dim)."""
     Mphi = table["Mphi"][table["cls"], :dim, :dim]
     return _solve_gram(Mphi, _cell_moments(f, m, table)[..., :dim])
-
-
-def project_cell(f, m: Mesh, k: int) -> np.ndarray:
-    """L2-project the vector field f onto [P_k(T)]^2 on every element.
-
-    Returns coefficients of shape (nt, 2, dim P_k).
-    """
-    return _project(f, m, _cell_setup(m, k), cell_basis_dim(k))
 
 
 def project_cell_scalar(f, m: Mesh, k: int) -> np.ndarray:

@@ -173,13 +173,6 @@ class WgFunction(_Coefficients):
             s.mesh.num_triangles, 2, s.nk
         )
 
-    def edge(self) -> np.ndarray:
-        """Edge coefficients, shape (ne, 2, k+1)."""
-        s = self.space
-        return self.coeffs[s.num_interior_dofs:].reshape(
-            s.mesh.num_edges, 2, s.nke
-        )
-
     def local_scalar_dofs(self) -> np.ndarray:
         """Per-element scalar dofs [cell | edge0 | edge1 | edge2], (nt, 2, ns)."""
         return self.coeffs[self.space.local_dofs()]

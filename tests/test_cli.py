@@ -61,17 +61,26 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 def test_locking_sweep_output(tmp_path, capsys):
+    # one table per distinct nu, at --out with -nu<nu> before the suffix
     out = tmp_path / "sweep.csv"
     code = run_cli(
         [
             "--levels", "2,4", "--eigs", "1",
-            "--nus", "0.3,0.3", "--out", str(out),
+            "--nus", "0.3,0.35,0.3", "--out", str(out),
         ]
     )
     assert code == 0
     captured = capsys.readouterr().out
     assert "max relative eigenfrequency deviation" in captured
-    assert out.exists()
+    paths = [tmp_path / "sweep-nu0.3.csv", tmp_path / "sweep-nu0.35.csv"]
+    assert [ln for ln in captured.splitlines() if ln.startswith("wrote")] == [
+        f"wrote {path}" for path in paths
+    ]
+    assert sorted(tmp_path.iterdir()) == paths
+    for nu, path in zip((0.3, 0.35), paths):
+        want = lab.run_experiment(ExperimentConfig(levels=(2, 4), num_eigs=1, nu=nu))
+        _, omegas, _ = lab.parse_csv(path)
+        assert np.array_equal(omegas, want.omegas)
 
 
 def test_locking_sweep_solves_a_repeated_nu_once(monkeypatch):
@@ -91,7 +100,7 @@ def test_locking_sweep_solves_a_repeated_nu_once(monkeypatch):
 
 
 def test_sweep_failure_at_a_later_nu_fails_the_run(tmp_path, monkeypatch, capsys):
-    # the written table is the first nu's; a failure at any other nu still exits 2
+    # every nu's table is written; a failure at any nu exits 2
     solve = lab.solve_level
 
     def failing(cfg, n):
@@ -105,8 +114,11 @@ def test_sweep_failure_at_a_later_nu_fails_the_run(tmp_path, monkeypatch, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert err == "solver failure at level 4 (nu=0.35): ARPACK failed on B's support: injected\n"
-    _, omegas, _ = lab.parse_csv(out)
-    assert np.all(np.isfinite(omegas))  # the nu=0.3 table
+    _, omegas, _ = lab.parse_csv(tmp_path / "sweep-nu0.3.csv")
+    assert np.all(np.isfinite(omegas))
+    _, omegas, _ = lab.parse_csv(tmp_path / "sweep-nu0.35.csv")
+    assert np.isfinite(omegas[:, 0]).all() and np.isnan(omegas[:, 1]).all()
+    assert not out.exists()
 
 
 def test_sweep_check_lower_runs_on_every_nu(tmp_path, monkeypatch, capsys):
@@ -263,15 +275,19 @@ def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     assert not out.exists()  # nothing was solved or written
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent", "empty"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "empty", "sweep-directory"])
 def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys, where):
     def never(cfg, n):
         raise AssertionError("solve_level called for an unwritable --out")
 
     monkeypatch.setattr(lab, "solve_level", never)
     out = {"directory": tmp_path, "missing-parent": tmp_path / "nonexistent" / "t.csv",
-           "empty": ""}[where]
-    code = run_cli(["--levels", "2,4", "--eigs", "1", "--out", str(out)])
+           "empty": "", "sweep-directory": tmp_path / "t.csv"}[where]
+    sweep = []
+    if where == "sweep-directory":  # the second nu's table would go to a directory
+        (tmp_path / "t-nu0.35.csv").mkdir()
+        sweep = ["--nus", "0.3,0.35"]
+    code = run_cli(["--levels", "2,4", "--eigs", "1", "--out", str(out)] + sweep)
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("elastica: invalid configuration: out:")

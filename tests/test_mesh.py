@@ -8,11 +8,20 @@ from elastica import (
     build_square_mesh,
     bottom_dirichlet,
     classify_boundary,
-    dump_mesh,
     full_dirichlet,
     refine_uniform,
 )
 from elastica.mesh import _build_topology
+
+
+def twice_signed_areas(m):
+    # (x1 - x0)(y2 - y0) - (x2 - x0)(y1 - y0) from the vertex coordinates
+    (x0, y0), (x1, y1), (x2, y2) = m.vertices[m.triangles].transpose(1, 2, 0)
+    return (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+
+
+def neumann_count(m):
+    return len(m.boundary_edges) - len(m.dirichlet_edges)
 
 
 def euler_characteristic(m):
@@ -66,7 +75,7 @@ def test_invalid_subdivisions():
 
 def test_orientation_and_area():
     for m in (build_square_mesh(3), build_lshape_mesh(2)):
-        assert np.all(m.signed_areas() > 0)
+        assert np.all(twice_signed_areas(m) > 0)
     assert build_square_mesh(3).areas().sum() == pytest.approx(1.0, rel=1e-14)
     assert build_lshape_mesh(2).areas().sum() == pytest.approx(3.0, rel=1e-14)
 
@@ -81,7 +90,7 @@ def test_jacobian_determinants_are_twice_the_signed_areas():
         assert np.array_equal(J[:, :, 0], p[:, 1] - p[:, 0])
         assert np.array_equal(J[:, :, 1], p[:, 2] - p[:, 0])
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        assert np.array_equal(det, 2.0 * mesh.signed_areas())
+        assert np.array_equal(det, twice_signed_areas(mesh))
 
 
 def test_edge_adjacency():
@@ -123,7 +132,7 @@ def test_refine_inherits_tags():
     m = classify_boundary(build_square_mesh(2), bottom_dirichlet())
     r = refine_uniform(m)
     assert len(r.dirichlet_edges) == 2 * len(m.dirichlet_edges)
-    assert len(r.neumann_edges) == 2 * len(m.neumann_edges)
+    assert neumann_count(r) == 2 * neumann_count(m)
     mids = r.edge_midpoints()[r.dirichlet_edges]
     assert np.all(np.abs(mids[:, 1]) < 1e-12)
 
@@ -131,11 +140,11 @@ def test_refine_inherits_tags():
 def test_classify_full_and_mixed():
     m = classify_boundary(build_square_mesh(2), full_dirichlet())
     assert len(m.dirichlet_edges) == 8
-    assert len(m.neumann_edges) == 0
+    assert neumann_count(m) == 0
 
     m = classify_boundary(build_square_mesh(2), bottom_dirichlet())
     assert len(m.dirichlet_edges) == 2
-    assert len(m.neumann_edges) == 6
+    assert neumann_count(m) == 6
 
     m = classify_boundary(build_lshape_mesh(1), full_dirichlet())
     assert len(m.dirichlet_edges) == 8
@@ -153,8 +162,9 @@ def test_classify_full_and_mixed():
 def test_classify_predicate_array_or_scalar(predicate, ndir):
     m = classify_boundary(build_square_mesh(2), predicate)
     assert len(m.dirichlet_edges) == ndir
-    assert len(m.neumann_edges) == 8 - ndir
-    assert np.all(m.edge_tags[m.interior_edges] == "")
+    assert neumann_count(m) == 8 - ndir
+    assert m.dirichlet.dtype == bool
+    assert not m.dirichlet[m.interior_edges].any()
 
 
 def test_classify_empty_dirichlet_rejected():
@@ -186,26 +196,6 @@ def test_outward_normals():
             assert np.array_equal(nrm[:, l], n / np.linalg.norm(n, axis=1)[:, None])
 
 
-def test_dump_format(tmp_path):
-    m = classify_boundary(build_square_mesh(1), full_dirichlet())
-    path = tmp_path / "mesh.txt"
-    dump_mesh(m, path)
-    lines = path.read_text().splitlines()
-    kinds = [ln.split()[0] for ln in lines]
-    assert kinds.count("v") == 4
-    assert kinds.count("t") == 2
-    assert kinds.count("e") == 4  # only tagged (boundary) edges are listed
-    for ln in lines:
-        if ln.startswith("e"):
-            assert ln.split()[-1] in ("D", "N")
-    # coordinates are written as plain floats that read back exactly
-    m = build_lshape_mesh(3)
-    dump_mesh(m, path)
-    rows = [ln.split() for ln in path.read_text().splitlines()]
-    v = np.array([[float(x), float(y)] for kind, x, y, *_ in rows if kind == "v"])
-    assert np.array_equal(v, m.vertices)
-
-
 def test_non_manifold_rejected():
     # three triangles share the edge (0, 1)
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
@@ -218,20 +208,26 @@ def test_clockwise_input_made_counterclockwise():
     m = build_square_mesh(2)
     cw = m.triangles[:, [0, 2, 1]]
     r = _build_topology(m.vertices, cw)
-    assert np.all(r.signed_areas() > 0)
+    assert np.all(twice_signed_areas(r) > 0)
     np.testing.assert_array_equal(r.triangles, m.triangles)
     np.testing.assert_array_equal(r.edge_tris, m.edge_tris)
 
 
-def _midpoint_tags(m):
+def _midpoint_mask(m):
     mids = np.round(m.edge_midpoints(), 12)
-    return sorted(zip(map(tuple, mids), m.edge_tags))
+    return sorted(zip(map(tuple, mids), m.dirichlet.tolist()))
 
 
 @pytest.mark.parametrize("build", [build_square_mesh, build_lshape_mesh])
 @pytest.mark.parametrize("spec", [full_dirichlet, bottom_dirichlet])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_refined_tags_match_direct_build(build, spec, n):
-    refined = refine_uniform(classify_boundary(build(n), spec()))
+    # edge for edge, matched by midpoint, the refined Dirichlet mask is the
+    # direct build's, and no interior edge is ever Dirichlet
+    coarse = classify_boundary(build(n), spec())
+    refined = refine_uniform(coarse)
     direct = classify_boundary(build(2 * n), spec())
-    assert _midpoint_tags(refined) == _midpoint_tags(direct)
+    assert _midpoint_mask(refined) == _midpoint_mask(direct)
+    for m in (build(n), coarse, refined, direct):
+        assert not m.dirichlet[m.interior_edges].any()
+

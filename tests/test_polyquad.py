@@ -12,7 +12,8 @@ from elastica.polyquad import (
     edge_rule,
     triangle_rule,
 )
-from elastica.project import project_cell
+from elastica import WgSpace
+from elastica.project import project_global
 from conftest import square
 
 
@@ -127,7 +128,7 @@ def test_quadratic_roundtrip_reproduction():
         vals = np.stack([x**2 - 2 * x * y, 3 * y**2 + x], axis=-1)
         return vals
 
-    coeff = project_cell(f, m, 2)  # (nt, 2, 6)
+    coeff = project_global(f, WgSpace(m, 2)).interior()  # (nt, 2, 6)
     basis = CellBasis(2, m.centroids(), m.h_per_element)
     rng = np.random.default_rng(2)
     pts = m.centroids()[:, None, :] + 0.03 * rng.uniform(-1, 1, (m.num_triangles, 6, 2))

@@ -5,13 +5,17 @@ from elastica import WgSpace, refine_uniform
 from elastica.polyquad import CellBasis, edge_basis
 from elastica._quadmap import cell_quadrature, edge_quadrature
 from elastica.project import (
-    project_cell,
     project_cell_matrix,
     project_cell_scalar,
     project_edge,
     project_global,
 )
-from conftest import PolyField, lshape, square
+from conftest import PolyField, square
+
+
+def project_cell(f, m, k):
+    """Q_0 f: the [P_k(T)]^2 coefficients, shape (nt, 2, dim P_k)."""
+    return project_global(f, WgSpace(m, k)).interior()
 
 
 def cell_l2_error(m, coeff, f, k):
@@ -36,9 +40,14 @@ def test_cell_projection_identity_on_range():
 
 
 def _eval(coeff, m, k, x, y):
-    basis = CellBasis(k, m.centroids(), m.h_per_element)
-    pts = np.stack([x, y], axis=-1)
-    return np.einsum("tca,tqa->tqc", coeff, basis.evaluate(pts))
+    """The piecewise field of coeff at any points: each point takes the
+    polynomial of the first closed triangle that holds it."""
+    pts = np.stack([x, y], axis=-1).reshape(-1, 2)
+    rel = pts[:, None, :] - m.vertices[m.triangles[:, 0]]
+    lam = np.einsum("tij,ptj->pti", np.linalg.inv(m.jacobians()), rel)
+    t = ((lam >= -1e-12).all(axis=2) & (lam.sum(axis=2) <= 1 + 1e-12)).argmax(axis=1)
+    phi = CellBasis(k, m.centroids()[t], m.h_per_element[t]).evaluate(pts[:, None, :])
+    return np.einsum("pca,pa->pc", coeff[t], phi[:, 0]).reshape(x.shape + (2,))
 
 
 def test_cell_projection_orthogonality():
@@ -156,27 +165,16 @@ def test_matrix_projection_idempotent():
 
 
 def test_global_projection_identity_on_wg_space():
-    # a polynomial of degree <= k lies in V_h, and projecting the
-    # reconstruction of the projection changes nothing (idempotence)
+    # a polynomial of degree <= k lies in V_h: the cell part reproduces it,
+    # and the edge part is its edge projection
     m = square(3)
     for k in (1, 2):
         space = WgSpace(m, k)
         field = PolyField(k, np.random.default_rng(30 + k))
         v = project_global(field, space)
-        assert np.abs(v.interior() - project_cell(field, m, k)).max() <= 1e-12
-        assert np.abs(v.edge() - project_edge(field, m, k)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_global_projection_cell_part_is_project_cell(k):
-    # project_global reads the pack's cell table, which _cell_setup also builds for project_cell
-    m = lshape(2)
-    space = WgSpace(m, k)
-
-    def f(x, y):
-        return np.stack([np.sin(3 * x + y), np.exp(x * y)], axis=-1)
-
-    assert np.array_equal(project_global(f, space).interior(), project_cell(f, m, k))
+        assert cell_l2_error(m, v.interior(), field, k) <= 1e-12
+        edge = v.coeffs[space.num_interior_dofs:].reshape(m.num_edges, 2, k + 1)
+        assert np.abs(edge - project_edge(field, m, k)).max() <= 1e-12
 
 
 def test_global_projection_boundary_consistency():
