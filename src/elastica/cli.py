@@ -36,7 +36,7 @@ def _one_of(*names):
 
 
 def _numbers(kind):
-    return lambda text: tuple(kind(tok) for tok in text.replace(" ", "").split(",") if tok)
+    return lambda text: tuple(kind(tok) for tok in text.replace(" ", "").split(","))
 
 
 # run option -> (converter of its text from a flag or the config file, --help)

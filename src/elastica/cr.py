@@ -88,8 +88,6 @@ def assemble_cr(
     """Assemble the jump-stabilized CR stiffness and the mass, which is diagonal:
     (theta_i, theta_j)_T = |T|/3 delta_ij, summed over the triangles of each edge."""
     m = space.mesh
-    if len(m.dirichlet_edges) == 0:
-        raise ValueError("mesh has no Dirichlet edges; tag the boundary first")
     mu, lam = params.mu, params.lam
     gam = stab.gamma(m.h_global)
     nt = m.num_triangles

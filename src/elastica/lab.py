@@ -106,7 +106,6 @@ class RateTable:
 
     config: ExperimentConfig
     gammas: np.ndarray          # (num_eigs, nlevels), NaN on failed levels
-    orders: Optional[np.ndarray] = None   # (num_eigs,), None if < 3 levels
     failures: dict = field(default_factory=dict)  # level -> message
 
     @property
@@ -116,6 +115,15 @@ class RateTable:
     @property
     def omegas(self) -> np.ndarray:
         return np.sqrt(self.gammas)
+
+    @property
+    def orders(self) -> np.ndarray:
+        """(num_eigs,) convergence_order of each gamma row when the three finest
+        levels are h, h/2, h/4; NaN otherwise."""
+        lv = self.levels[-3:]
+        if len(lv) < 3 or lv[1] != 2 * lv[0] or lv[2] != 2 * lv[1]:
+            return np.full(len(self.gammas), np.nan)
+        return np.array([convergence_order(*row[-3:]) for row in self.gammas])
 
 
 def convergence_order(g1: float, g2: float, g3: float) -> float:
@@ -163,23 +171,14 @@ def run_experiment(cfg: ExperimentConfig) -> RateTable:
 
     A level fails when its solver raises SolverFailure, unconverged
     eigenpairs included; its column of the table is then NaN."""
-    m = cfg.num_eigs
-    nlev = len(cfg.levels)
-    gammas = np.full((m, nlev), np.nan)
+    gammas = np.full((cfg.num_eigs, len(cfg.levels)), np.nan)
     failures = {}
     for col, n in enumerate(cfg.levels):
         try:
             gammas[:, col] = solve_level(cfg, n).eigenvalues
         except SolverFailure as exc:
             failures[n] = str(exc)
-    orders = None
-    if nlev >= 3:
-        a, b, c = cfg.levels[-3:]
-        orders = np.full(m, np.nan)
-        if 2 * a == b and 2 * b == c:
-            for j in range(m):
-                orders[j] = convergence_order(*gammas[j, -3:])
-    return RateTable(config=cfg, gammas=gammas, orders=orders, failures=failures)
+    return RateTable(config=cfg, gammas=gammas, failures=failures)
 
 
 def locking_sweep(cfg: ExperimentConfig, nus) -> dict:
@@ -239,10 +238,10 @@ def emit(table: RateTable, fmt: str, path) -> None:
 def _emit_csv(table: RateTable, path) -> None:
     with open(path, "w") as fh:
         fh.write("j,h,omega,order\n")
-        for j, row in enumerate(table.omegas):
-            order = "" if table.orders is None else repr(float(table.orders[j]))
+        for j, (row, order) in enumerate(zip(table.omegas, table.orders)):
+            text = repr(float(order)) if len(table.levels) >= 3 else ""  # empty: no triple
             for n, omega in zip(table.levels, row):
-                fh.write(f"{j + 1},1/{n},{float(omega)!r},{order}\n")
+                fh.write(f"{j + 1},1/{n},{float(omega)!r},{text}\n")
 
 
 def parse_csv(path):
@@ -252,20 +251,18 @@ def parse_csv(path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
-        return (), np.zeros((0, 0)), None
+        return (), np.zeros((0, 0)), np.zeros(0)
     levels = sorted({int(r["h"].split("/")[1]) for r in rows})
     js = sorted({int(r["j"]) for r in rows})
     omegas = np.full((len(js), len(levels)), np.nan)
     orders = np.full(len(js), np.nan)
-    have_orders = False
     for r in rows:
         j = int(r["j"]) - 1
         col = levels.index(int(r["h"].split("/")[1]))
         omegas[j, col] = float(r["omega"])
         if r["order"]:
             orders[j] = float(r["order"])
-            have_orders = True
-    return tuple(levels), omegas, (orders if have_orders else None)
+    return tuple(levels), omegas, orders
 
 
 def _emit_markdown(table: RateTable, path) -> None:
@@ -273,10 +270,7 @@ def _emit_markdown(table: RateTable, path) -> None:
     with open(path, "w") as fh:
         fh.write("| h | " + " | ".join(hs) + " | Order |\n")
         fh.write("|" + "---|" * (len(hs) + 2) + "\n")
-        for j, row in enumerate(table.omegas):
+        for j, (row, order) in enumerate(zip(table.omegas, table.orders)):
             cells = [f"{w:.6f}" for w in row]
-            if table.orders is None or math.isnan(table.orders[j]):
-                order = "-"
-            else:
-                order = f"{table.orders[j]:.2f}"
+            order = "-" if math.isnan(order) else f"{order:.2f}"
             fh.write(f"| omega_{j + 1} | " + " | ".join(cells) + f" | {order} |\n")

@@ -56,18 +56,20 @@ class Mesh:
         True on the Dirichlet boundary edges; never on an interior edge.
     h_per_element : (nt,) float array
         Element diameters (longest edge).
-    h_global : float
-        max over elements of h_T.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    edges: np.ndarray = field(repr=False, default=None)
-    edge_tris: np.ndarray = field(repr=False, default=None)
-    tri_edges: np.ndarray = field(repr=False, default=None)
-    dirichlet: np.ndarray = field(repr=False, default=None)
-    h_per_element: np.ndarray = field(repr=False, default=None)
-    h_global: float = 0.0
+    edges: np.ndarray = field(repr=False)
+    edge_tris: np.ndarray = field(repr=False)
+    tri_edges: np.ndarray = field(repr=False)
+    dirichlet: np.ndarray = field(repr=False)
+    h_per_element: np.ndarray = field(repr=False)
+
+    @property
+    def h_global(self) -> float:
+        """max over elements of h_T."""
+        return float(self.h_per_element.max())
 
     @property
     def num_vertices(self) -> int:
@@ -170,8 +172,6 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     shared = counts == 2
     edge_tris[shared, 1] = tri_of_entry[start[shared] + 1]
 
-    h_per_element = _lengths(vertices, edges)[tri_edges].max(axis=1)
-
     return Mesh(
         vertices=vertices,
         triangles=triangles,
@@ -179,8 +179,7 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
         edge_tris=edge_tris,
         tri_edges=tri_edges,
         dirichlet=np.zeros(ne, dtype=bool),
-        h_per_element=h_per_element,
-        h_global=float(h_per_element.max()),
+        h_per_element=_lengths(vertices, edges)[tri_edges].max(axis=1),
     )
 
 

@@ -74,8 +74,8 @@ class CellBasis:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.degree = degree
-        self.centroids = np.atleast_2d(np.asarray(centroids, dtype=float))
-        self.diameters = np.atleast_1d(np.asarray(diameters, dtype=float))
+        self.centroids = centroids
+        self.diameters = diameters
         exps = [(a, b) for d in range(degree + 1) for a, b in
                 ((d - j, j) for j in range(d + 1))]
         self.exponents = np.array(exps, dtype=np.int64)
@@ -83,13 +83,10 @@ class CellBasis:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Basis values at physical points.
 
-        points : (ne, nq, 2) or (nq, 2) broadcast against the batch.
+        points : (ne, nq, 2), nq points per element of the batch.
         Returns values of shape (ne, nq, dim).
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 2:
-            pts = np.broadcast_to(pts, (len(self.centroids),) + pts.shape)
-        xi = (pts - self.centroids[:, None, :]) / self.diameters[:, None, None]
+        xi = (points - self.centroids[:, None, :]) / self.diameters[:, None, None]
         a = self.exponents[:, 0]
         b = self.exponents[:, 1]
         return xi[..., 0:1] ** a * xi[..., 1:2] ** b

@@ -107,6 +107,8 @@ class _EdgeLayout:
         return self.edge_dofs(self.mesh.dirichlet_edges).ravel()
 
     def free_dofs(self) -> np.ndarray:
+        if not self.mesh.dirichlet.any():
+            raise ValueError("mesh has no Dirichlet edges; tag the boundary first")
         mask = np.ones(self.num_dofs, dtype=bool)
         mask[self.dirichlet_dofs()] = False
         return np.where(mask)[0]
@@ -238,16 +240,14 @@ def _build_pack(space: WgSpace) -> dict:
     return {**p, "D": D, "Mpsi": Mpsi, "chi": chi, "ew_loc": ew_loc, "phi_e": phi_e, "G": G}
 
 
-def _trace_jump(space: WgSpace, l: int) -> np.ndarray:
-    """Map (nc, nqe, ns), per class, from local scalar dofs to v0 - vb at the
-    quadrature points of local edge l: phi_e on the cell columns, -chi on edge l's.
-    """
+def _trace_jump(space: WgSpace) -> np.ndarray:
+    """Map (nc, 3, nqe, ns), per class and local edge l, from local scalar dofs to
+    v0 - vb at the quadrature points of edge l: phi_e on the cell columns, -chi on
+    edge l's and zero on the other edges'."""
     p = space.pack()
-    phi_e, chi, nk, nke = p["phi_e"][:, l], p["chi"], space.nk, space.nke
-    J = np.zeros(phi_e.shape[:2] + (space.ns,))
-    J[:, :, :nk] = phi_e
-    J[:, :, nk + l * nke:nk + (l + 1) * nke] = -chi
-    return J
+    phi_e, chi = p["phi_e"], p["chi"]
+    edge = np.kron(np.eye(3), -chi).reshape(3, len(chi), 3 * space.nke)
+    return np.concatenate([phi_e, np.broadcast_to(edge, phi_e.shape[:2] + edge.shape[1:])], axis=3)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +290,6 @@ def assemble_forms(
 ) -> AssembledSystem:
     """Assemble the stiffness a_w and the (singular) mass b_w."""
     m = space.mesh
-    if len(m.dirichlet_edges) == 0:
-        raise ValueError("mesh has no Dirichlet edges; tag the boundary first")
-
     p = space.pack()
     nt = m.num_triangles
     nk, ns = space.nk, space.ns
@@ -304,12 +301,12 @@ def assemble_forms(
     MG = np.einsum("tpq,jtqs->jtps", Mpsi, G)
     H = _drop_noise(np.einsum("atps,btpr->abtsr", G, MG))  # H[a,b] = G_a^T Mpsi G_b
 
-    # stabilization: gamma(h) h_T^{-1} <v0 - vb, w0 - wb>_dT per component
-    S = np.zeros((len(Mpsi), ns, ns))
-    for l in range(3):
-        J = _trace_jump(space, l)
-        S += np.einsum("tq,tqa,tqb->tab", p["ew_loc"][:, l], J, J)
-    S = _drop_noise(S) * (gam / p["local"].h_per_element)[:, None, None]
+    # stabilization: gamma(h) h_T^{-1} <v0 - vb, w0 - wb>_dT per component; the edge
+    # blocks are added after the einsum, in edge order: a sum over l inside it
+    # re-associates S and moves A's last bits
+    J = _trace_jump(space)
+    S = _drop_noise(np.einsum("tlq,tlqa,tlqb->tlab", p["ew_loc"], J, J).sum(axis=1))
+    S *= (gam / p["local"].h_per_element)[:, None, None]
 
     K = np.empty((len(Mpsi), 2 * ns, 2 * ns))
     K[:, :ns, :ns] = (2 * mu + lam) * H[0, 0] + mu * H[1, 1] + S
@@ -410,11 +407,8 @@ def norms(v: WgFunction, params: ElasticParams) -> tuple[float, float]:
     dv = weak_divergence(v)
     div_sq = np.einsum("tp,tpq,tq->", dv, p["Mpsi"][cls], dv)
 
-    loc = v.local_scalar_dofs()
-    jump_sq = 0.0
-    for l in range(3):
-        diff = np.einsum("tqs,tcs->tqc", _trace_jump(space, l)[cls], loc)
-        jump_sq += np.einsum("t,tq,tqc,tqc->", 1.0 / h, p["ew_loc"][cls, l], diff, diff)
+    diff = np.einsum("tlqs,tcs->tlqc", _trace_jump(space)[cls], v.local_scalar_dofs())
+    jump_sq = np.einsum("t,tlq,tlqc,tlqc->", 1.0 / h, p["ew_loc"][cls], diff, diff)
 
     vnorm = np.sqrt(strain_sq + params.lam * div_sq + jump_sq)
     xnorm = np.sqrt(np.einsum("tca,tab,tcb->", c0, p["Mphi"][cls], c0))

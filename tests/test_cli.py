@@ -252,14 +252,23 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
         (["--levels", "2"], "out =\n"),
         (["--levels", "2,4", "--eigs", "1", "--E", "1e308"], None),
         (["--levels", "2,4", "--eigs", "1", "--E", "5e-324"], None),
+        (["--levels", "2,,4"], None),
+        (["--levels", "2,4,"], None),
+        (["--levels", ",2,4"], None),
+        (["--levels", "2,4", "--nus", "0.3,,0.4"], None),
     ],
     ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "cfg-experiment",
          "cfg-format", "cfg-check-lower", "missing-cfg", "flag-method", "flag-order",
          "flag-levels", "flag-unknown", "delta", "no-levels", "zero-level", "E-inf",
          "E-nan", "delta-inf", "delta-nan", "order-15", "empty-out", "cfg-empty-out",
-         "E-overflow", "E-underflow"],
+         "E-overflow", "E-underflow", "levels-empty-item", "levels-trailing-comma",
+         "levels-leading-comma", "nus-empty-item"],
 )
 def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
+    def never(cfg, n):
+        raise AssertionError("solve_level called for an invalid configuration")
+
+    monkeypatch.setattr(lab, "solve_level", never)
     monkeypatch.chdir(tmp_path)
     if cfg_text is not None:
         (tmp_path / "run.cfg").write_text(cfg_text)
@@ -273,6 +282,12 @@ def test_invalid_config_exit_code(tmp_path, capsys, monkeypatch, bad, cfg_text):
     assert err.startswith("elastica: invalid configuration:")
     assert err.count("\n") == 1  # one line, no traceback
     assert not out.exists()  # nothing was solved or written
+
+
+def test_list_items_may_carry_spaces(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli(["--levels", "2, 4", "--eigs", "1", "--out", str(out)]) == 0
+    assert lab.parse_csv(out)[0] == (2, 4)
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent", "empty", "sweep-directory"])

@@ -95,7 +95,7 @@ def test_run_experiment_small_and_deterministic():
     t1 = run_experiment(cfg)
     t2 = run_experiment(cfg)
     assert np.array_equal(t1.omegas, t2.omegas)
-    assert t1.orders is None  # fewer than three levels
+    assert np.isnan(t1.orders).all() and t1.orders.shape == (2,)  # fewer than three levels
     assert not t1.failures
     assert np.all(t1.omegas > 0)
     assert np.allclose(t1.omegas, np.sqrt(t1.gammas))
@@ -109,11 +109,30 @@ def test_run_experiment_orders_from_finest_triple():
 
 def _fabricated(gammas, levels=(4, 8, 16)):
     cfg = ExperimentConfig(levels=levels, num_eigs=max(gammas.shape[0], 1))
-    return RateTable(
-        config=cfg,
-        gammas=gammas,
-        orders=None,
-    )
+    return RateTable(config=cfg, gammas=gammas)
+
+
+def test_orders_are_derived_from_the_gammas(tmp_path):
+    gammas = np.array([[4.0, 4.1, 4.12], [5.0, 5.2, 5.25]])
+    geometric = _fabricated(gammas)
+    want = [convergence_order(*row) for row in gammas]
+    assert np.array_equal(geometric.orders, want)
+    two = _fabricated(gammas[:, 1:], levels=(8, 16))
+    skewed = _fabricated(gammas, levels=(2, 8, 16))  # not h, h/2, h/4
+    for table in (two, skewed):
+        assert table.orders.shape == (2,) and np.isnan(table.orders).all()
+    # CSV: a numeric order column, an empty one below three levels, nan for a skewed triple
+    for table, cell in ((geometric, repr(want[0])), (two, ""), (skewed, "nan")):
+        path = tmp_path / "t.csv"
+        emit(table, "csv", path)
+        assert path.read_text().splitlines()[1].split(",")[3] == cell
+        orders = parse_csv(path)[2]
+        assert orders.shape == (2,)
+        np.testing.assert_array_equal(orders, table.orders)  # NaN where the column is empty
+        emit(table, "md", tmp_path / "t.md")
+        rows = (tmp_path / "t.md").read_text().splitlines()[2:]
+        for row, order in zip(rows, table.orders):
+            assert row.endswith("| - |" if math.isnan(order) else f"| {order:.2f} |")
 
 
 def test_check_lower_bounds():
@@ -169,7 +188,9 @@ def test_emit_markdown_shape(tmp_path):
     assert lines[0].startswith("| h |") and lines[0].endswith("| Order |")
     assert len(lines) == 2 + 2
     assert lines[2].startswith("| omega_1 |")
-    assert lines[2].rstrip().endswith("| - |")  # no orders available
+    assert lines[2].rstrip().endswith("| 2.32 |")  # lg(0.1 / 0.02) / lg 2 = log2(5)
+    emit(_fabricated(np.array([[4.0, 4.1]]), levels=(4, 8)), "md", path)
+    assert path.read_text().splitlines()[2].rstrip().endswith("| - |")  # no triple
 
 
 def test_emit_unknown_format(tmp_path):

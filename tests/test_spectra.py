@@ -6,7 +6,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from elastica import ElasticParams, StabilizationConfig, WgSpace, assemble_forms
+from elastica import (
+    CrSpace,
+    ElasticParams,
+    StabilizationConfig,
+    WgSpace,
+    assemble_cr,
+    assemble_forms,
+)
 from elastica.errors import NotPositiveDefiniteError, SolverFailure
 from elastica.spectra import SpdFactor, factorize_spd, smallest_generalized_eigs
 
@@ -271,6 +278,23 @@ def test_factor_renumbers_a_scattered_matrix():
                 x = factor.solve(rhs, refine=refine)
                 assert x.shape == rhs.shape
                 assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+def test_factor_start_order_on_the_lab_systems():
+    # measured at n = 8: WG k=1 on the clamped square numbers its unknowns cell
+    # block first, edges after, so Cuthill-McKee cuts its bandwidth from 828 to 177
+    # and the factor renumbers; CR on the bottom-clamped square is edge-major and
+    # already banded (54 against 51), so the factor keeps its own order
+    params, stab = ElasticParams(), StabilizationConfig()
+    wg = assemble_forms(WgSpace(square(8), 1), params, stab)
+    cr = assemble_cr(CrSpace(square(8, "bottom")), params, stab)
+    for sys_, renumbered in ((wg, True), (cr, False)):
+        A = sys_.A[np.ix_(sys_.free, sys_.free)]
+        F = factorize_spd(A)
+        assert np.array_equal(F._p, np.arange(A.shape[0])) != renumbered
+        b = np.ones(A.shape[0])
+        x = F.solve(b)
+        assert np.abs(A @ x - b).max() <= 1e-14 * abs(A).max() * np.abs(x).max()
 
 
 def _wg_sparse_path_matches_dense(mesh, nu):

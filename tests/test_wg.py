@@ -29,7 +29,6 @@ from elastica.project import (
 )
 from elastica.wg import (
     AssembledSystem,
-    _trace_jump,
     norms,
     weak_divergence,
     weak_gradient,
@@ -151,18 +150,19 @@ def test_pack_matches_quadrature_of_a_separate_lower_basis(mesh, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_stabilizer_is_the_jump_energy_of_the_norm(k):
     # a_w depends on delta only through gamma(h) times the jump energy,
-    # sum_T h_T^-1 ||v0 - vb||_dT^2, that norms takes from the same map
+    # sum_T h_T^-1 ||v0 - vb||_dT^2, here summed edge by edge from the traces
     m = square(4)
     space = WgSpace(m, k)
     stabs = StabilizationConfig(delta=0.05), StabilizationConfig(delta=2.0)
     A1, A2 = (assemble_forms(space, PARAMS, s).A for s in stabs)
     v = WgFunction(space, np.random.default_rng(k).standard_normal(space.num_dofs))
-    cls = space.pack()["cls"]
-    loc, ew_loc = v.local_scalar_dofs(), space.pack()["ew_loc"][cls]
+    p, nk, nke = space.pack(), space.nk, space.nke
+    cls, loc = p["cls"], v.local_scalar_dofs()
     energy = 0.0
-    for l in range(3):
-        d = np.einsum("tqs,tcs->tqc", _trace_jump(space, l)[cls], loc)
-        energy += np.einsum("t,tq,tqc,tqc->", 1 / m.h_per_element, ew_loc[:, l], d, d)
+    for l in range(3):  # v0 - vb on each edge from the traces, the reference for _trace_jump
+        v0 = np.einsum("tqa,tca->tqc", p["phi_e"][cls, l], loc[:, :, :nk])
+        d = v0 - np.einsum("qm,tcm->tqc", p["chi"], loc[:, :, nk + l * nke:nk + (l + 1) * nke])
+        energy += np.einsum("t,tq,tqc,tqc->", 1 / m.h_per_element, p["ew_loc"][cls, l], d, d)
     gap = stabs[0].gamma(m.h_global) - stabs[1].gamma(m.h_global)
     assert v.coeffs @ ((A1 - A2) @ v.coeffs) == pytest.approx(gap * energy, rel=1e-12)
 
@@ -304,6 +304,7 @@ def test_jittered_mesh_has_a_class_per_triangle_and_commutes(k):
     m = _jittered_square(4, 6)
     space = WgSpace(m, k)
     assert len(space.pack()["Mphi"]) == m.num_triangles
+    assert space.pack()["local"].h_global == m.h_global  # the class mesh derives h from m's h_T
     _check_lifting(space)
     rng = np.random.default_rng(200 + k)
     for _ in range(10):
