@@ -36,7 +36,7 @@ JUMP_EXACTNESS = 4  # exactness of the edge rule behind the jump penalty and jum
 
 class CrSpace(_EdgeLayout):
     """WG's edge layout with one mean per edge and component and no interior
-    dofs: edge-major, [x, y] per edge; Dirichlet edges constrained."""
+    dofs: edge-major, [x, y] per edge; the Dirichlet edges' dofs are not free."""
 
     num_interior_dofs = 0
     nke = 1
@@ -85,8 +85,9 @@ def interpolate(f, space: CrSpace) -> CrFunction:
 def assemble_cr(
     space: CrSpace, params: ElasticParams, stab: StabilizationConfig
 ) -> AssembledSystem:
-    """Assemble the jump-stabilized CR stiffness and the mass, which is diagonal:
-    (theta_i, theta_j)_T = |T|/3 delta_ij, summed over the triangles of each edge."""
+    """Assemble the jump-stabilized CR stiffness and the mass on the free dofs; the
+    mass is diagonal: (theta_i, theta_j)_T = |T|/3 delta_ij, summed over the
+    triangles of each edge."""
     m = space.mesh
     mu, lam = params.mu, params.lam
     gam = stab.gamma(m.h_global)
@@ -113,14 +114,15 @@ def assemble_cr(
 
     dof = space.edge_dofs(m.tri_edges).reshape(nt, 6)
     pen = space.edge_dofs(edof)[..., 0]  # (nie, 6, 2): x then y dofs of the edges at edof
-    A = scatter(np.concatenate([K, P, P]), np.concatenate([dof, pen[..., 0], pen[..., 1]]),
-                space.num_dofs)
+    rows = space.pencil_rows()
+    A = scatter(np.concatenate([K, P, P]), np.concatenate([dof, pen[..., 0], pen[..., 1]]), rows)
     A = 0.5 * (A + A.T)
 
+    free = np.flatnonzero(rows >= 0)
     mass = np.bincount(m.tri_edges.ravel(), np.repeat(area / 3.0, 3), m.num_edges)
-    B = sp.diags(np.repeat(mass, 2), format="csr")
+    B = sp.diags(np.repeat(mass, 2)[free], format="csr")
 
-    return AssembledSystem(A=A, B=B, free=space.free_dofs())
+    return AssembledSystem(A=A, B=B, free=free)
 
 
 def _jumps(space: CrSpace):

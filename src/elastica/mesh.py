@@ -91,10 +91,6 @@ class Mesh:
     def interior_edges(self) -> np.ndarray:
         return np.where(self.edge_tris[:, 1] >= 0)[0]
 
-    @property
-    def dirichlet_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.dirichlet)
-
     def edge_lengths(self) -> np.ndarray:
         return _lengths(self.vertices, self.edges)
 

@@ -103,23 +103,17 @@ def _project(f, m: Mesh, table, dim: int) -> np.ndarray:
 
 
 def project_cell_scalar(f, m: Mesh, k: int) -> np.ndarray:
-    """L2-project the scalar field f onto P_{k-1}(T) on every element.
+    """L2-project the field f componentwise onto P_{k-1}(T) on every element.
 
-    Returns coefficients of shape (nt, dim P_{k-1}).
+    Returns coefficients of shape (nt, dim P_{k-1}) for a scalar field and
+    (nt, 2, 2, dim P_{k-1}) for a 2x2 matrix field.
     """
     if k < 1:
         raise ValueError("scheme order k must be >= 1")
     return _project(f, m, _cell_setup(m, k), cell_basis_dim(k - 1))
 
 
-def project_cell_matrix(F, m: Mesh, k: int) -> np.ndarray:
-    """L2-project the 2x2 matrix field F componentwise onto P_{k-1}(T).
-
-    Returns coefficients of shape (nt, 2, 2, dim P_{k-1}).
-    """
-    if k < 1:
-        raise ValueError("scheme order k must be >= 1")
-    return _project(F, m, _cell_setup(m, k), cell_basis_dim(k - 1))
+project_cell_matrix = project_cell_scalar  # a matrix field projects componentwise
 
 
 def project_edge(f, m: Mesh, k: int) -> np.ndarray:

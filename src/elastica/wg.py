@@ -87,8 +87,8 @@ class StabilizationConfig:
 
 class _EdgeLayout:
     """Edge dofs after the num_interior_dofs interior ones, edge-major, with nke
-    coefficients per component: [x | y] per edge.  Dirichlet edge blocks are
-    excluded from the free set."""
+    coefficients per component: [x | y] per edge.  The discrete problems live on
+    the free dofs, those of the interior and of the non-Dirichlet edges."""
 
     @property
     def num_edge_dofs(self) -> int:
@@ -103,15 +103,14 @@ class _EdgeLayout:
         comp = np.arange(2)[:, None] * self.nke + np.arange(self.nke)
         return self.num_interior_dofs + edges[..., None, None] * 2 * self.nke + comp
 
-    def dirichlet_dofs(self) -> np.ndarray:
-        return self.edge_dofs(self.mesh.dirichlet_edges).ravel()
-
-    def free_dofs(self) -> np.ndarray:
+    def pencil_rows(self) -> np.ndarray:
+        """Row of each dof in the free-dof pencil, free dofs in dof order (the interior
+        ones first), and -1 on the dofs of the Dirichlet edges."""
         if not self.mesh.dirichlet.any():
             raise ValueError("mesh has no Dirichlet edges; tag the boundary first")
-        mask = np.ones(self.num_dofs, dtype=bool)
-        mask[self.dirichlet_dofs()] = False
-        return np.where(mask)[0]
+        free = np.concatenate([np.ones(self.num_interior_dofs, dtype=bool),
+                               np.repeat(~self.mesh.dirichlet, 2 * self.nke)])
+        return np.where(free, np.cumsum(free) - 1, -1)
 
 
 class WgSpace(_EdgeLayout):
@@ -182,7 +181,7 @@ class WgFunction(_Coefficients):
 
 @dataclass
 class AssembledSystem:
-    """Stiffness/mass pair with the free-dof index map of its space."""
+    """Stiffness/mass pencil on the free dofs; pencil row i is space dof free[i]."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -194,7 +193,7 @@ class EigenResult:
     """Sorted eigenvalues, eigenfrequencies and B-normalized vectors."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # (num_dofs, m), zeros on constrained dofs
+    vectors: np.ndarray  # (len(free), m), on the pencil's rows
     report: spectra.SolveReport = field(repr=False)
 
     @property
@@ -288,7 +287,7 @@ def weak_divergence(v: WgFunction) -> np.ndarray:
 def assemble_forms(
     space: WgSpace, params: ElasticParams, stab: StabilizationConfig
 ) -> AssembledSystem:
-    """Assemble the stiffness a_w and the (singular) mass b_w."""
+    """Assemble the stiffness a_w and the (singular) mass b_w on the free dofs."""
     m = space.mesh
     p = space.pack()
     nt = m.num_triangles
@@ -315,38 +314,46 @@ def assemble_forms(
     K[:, ns:, :ns] = K[:, :ns, ns:].transpose(0, 2, 1)
     K = 0.5 * (K + K.transpose(0, 2, 1))
 
-    # an entry of A sums at most two contributions (an edge has two triangles),
-    # so leaving out the positions that are zero in every class block changes no sum
-    gidx, cls = space.local_dofs(), p["cls"]  # (nt, 2, ns)
-    A = scatter(K, gidx.reshape(nt, 2 * ns), space.num_dofs,
-                np.flatnonzero((K != 0).any(axis=0)), cls)
+    # an entry of A sums at most two contributions (an edge has two triangles), so
+    # leaving out the positions that are zero in every class block, or the Dirichlet
+    # rows and columns, changes no sum
+    gidx, cls, rows = space.local_dofs(), p["cls"], space.pencil_rows()  # (nt, 2, ns)
+    A = scatter(K, gidx.reshape(nt, 2 * ns), rows, np.flatnonzero((K != 0).any(axis=0)), cls)
     # one P_k mass block per element and component
-    B = scatter(p["Mphi"], gidx[:, :, :nk].reshape(2 * nt, nk), space.num_dofs,
+    B = scatter(p["Mphi"], gidx[:, :, :nk].reshape(2 * nt, nk), rows,
                 np.flatnonzero((p["Mphi"] != 0).any(axis=0)), np.repeat(cls, 2))
 
-    return AssembledSystem(A=A, B=B, free=space.free_dofs())
+    return AssembledSystem(A=A, B=B, free=np.flatnonzero(rows >= 0))
 
 
-def scatter(blocks: np.ndarray, idx: np.ndarray, n: int, pos=None,
+def scatter(blocks: np.ndarray, idx: np.ndarray, rows: np.ndarray, pos=None,
             cls=slice(None)) -> sp.csr_matrix:
-    """Sum element blocks into an n x n matrix at global dofs idx (ne, d).
+    """Sum element blocks at dofs idx (ne, d) into the pencil of the dof map rows
+    (see pencil_rows): an n x n matrix, n = rows.max() + 1, without the entries
+    whose row or column is a dof that rows maps to -1.
 
     Element e's block is blocks[cls[e]] (by default blocks holds one block per
     element).  The flat local positions pos (all d * d when None) of each element
     go, element by element, into an int32 COO; scipy sums its duplicates and the
-    sum's exact zeros are dropped after.  scipy's summing order depends on a whole
-    row's input, so leaving out positions keeps every bit only where no entry
-    sums more than two terms: CR, whose penalty couples neighbouring edges, sends all.
+    sum's exact zeros are dropped after.  The entries of the unmapped dofs go to one
+    sink row and column, n, which resize cuts off.  A compressed copy of the COO
+    would do the same, but it fragments the heap: at CR n=128 it kept 60 MB that
+    the factor did not reuse.  scipy's summing order depends on a whole row's input,
+    so leaving out positions or sending entries to the sink keeps every bit only
+    where no entry sums more than two terms: CR, whose penalty couples neighbouring
+    edges, sends all positions, and its pencil may differ from the sum on all dofs
+    by an ulp.
     """
-    d = idx.shape[1]
+    d, n = idx.shape[1], int(rows.max()) + 1
     pos = np.arange(d * d) if pos is None else pos
-    idx = idx.astype(np.int32)
+    idx = np.where(rows < 0, n, rows).astype(np.int32)[idx]
     vals = np.take(blocks.reshape(-1, d * d), pos, axis=1)[cls].ravel()
     del blocks  # frees a caller's temporary, such as CR's blocks, before the COO
     A = sp.coo_matrix(
         (vals, (np.take(idx, pos // d, axis=1).ravel(), np.take(idx, pos % d, axis=1).ravel())),
-        shape=(n, n),
+        shape=(n + 1, n + 1),
     ).tocsr()
+    A.resize(n, n)
     A.eliminate_zeros()
     return A
 
@@ -356,19 +363,15 @@ def scatter(blocks: np.ndarray, idx: np.ndarray, n: int, pos=None,
 
 
 def solve_eigen(sys: AssembledSystem, m: int, seed: int = 0) -> EigenResult:
-    """m smallest eigenpairs of a WG or CR system, b-normalized.
+    """m smallest eigenpairs of a WG or CR system, b-normalized, with the vectors
+    on the pencil's rows (sys.free maps them to space dofs).
 
     Each vector has its largest-magnitude coefficient on the mass support
     positive: WG vectors their largest interior coefficient, CR vectors their
     largest coefficient.  Unconverged pairs raise SolverFailure like any other failure.
     """
-    free = sys.free
-    vals, V, report = spectra.smallest_generalized_eigs(
-        sys.A[np.ix_(free, free)], sys.B[np.ix_(free, free)], m, seed=seed
-    )
-    full = np.zeros((sys.A.shape[0], m))
-    full[free, :] = V
-    return EigenResult(eigenvalues=vals, vectors=full, report=report)
+    vals, V, report = spectra.smallest_generalized_eigs(sys.A, sys.B, m, seed=seed)
+    return EigenResult(eigenvalues=vals, vectors=V, report=report)
 
 
 def solve_source(
@@ -376,14 +379,13 @@ def solve_source(
 ) -> WgFunction:
     """Solve the source problem a_w(u_h, v) = (f, v_0) on the free dofs."""
     sys = assemble_forms(space, params, stab)
-    free = sys.free
-    A = sys.A[np.ix_(free, free)]
-    del sys  # the factor sets the level's peak; it does not need the full system
-    load = _cell_moments(f, space.mesh, space.pack())  # (nt, 2, nk)
-    rhs = np.zeros(space.num_dofs)
-    rhs[: space.num_interior_dofs] = load.reshape(-1)
+    A, free = sys.A, sys.free
+    del sys  # the factor sets the level's peak; it does not need B
+    # the load sits on the interior dofs, the pencil's leading rows
+    rhs = np.zeros(len(free))
+    rhs[: space.num_interior_dofs] = _cell_moments(f, space.mesh, space.pack()).reshape(-1)
     x = np.zeros(space.num_dofs)
-    x[free] = spectra.factorize_spd(A).solve(rhs[free])
+    x[free] = spectra.factorize_spd(A).solve(rhs)
     return WgFunction(space=space, coeffs=x)
 
 

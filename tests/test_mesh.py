@@ -21,7 +21,7 @@ def twice_signed_areas(m):
 
 
 def neumann_count(m):
-    return len(m.boundary_edges) - len(m.dirichlet_edges)
+    return len(m.boundary_edges) - m.dirichlet.sum()
 
 
 def euler_characteristic(m):
@@ -131,23 +131,23 @@ def test_refine_lshape_matches_direct_build():
 def test_refine_inherits_tags():
     m = classify_boundary(build_square_mesh(2), bottom_dirichlet())
     r = refine_uniform(m)
-    assert len(r.dirichlet_edges) == 2 * len(m.dirichlet_edges)
+    assert r.dirichlet.sum() == 2 * m.dirichlet.sum()
     assert neumann_count(r) == 2 * neumann_count(m)
-    mids = r.edge_midpoints()[r.dirichlet_edges]
+    mids = r.edge_midpoints()[r.dirichlet]
     assert np.all(np.abs(mids[:, 1]) < 1e-12)
 
 
 def test_classify_full_and_mixed():
     m = classify_boundary(build_square_mesh(2), full_dirichlet())
-    assert len(m.dirichlet_edges) == 8
+    assert m.dirichlet.sum() == 8
     assert neumann_count(m) == 0
 
     m = classify_boundary(build_square_mesh(2), bottom_dirichlet())
-    assert len(m.dirichlet_edges) == 2
+    assert m.dirichlet.sum() == 2
     assert neumann_count(m) == 6
 
     m = classify_boundary(build_lshape_mesh(1), full_dirichlet())
-    assert len(m.dirichlet_edges) == 8
+    assert m.dirichlet.sum() == 8
 
 
 @pytest.mark.parametrize(
@@ -161,7 +161,7 @@ def test_classify_full_and_mixed():
 )
 def test_classify_predicate_array_or_scalar(predicate, ndir):
     m = classify_boundary(build_square_mesh(2), predicate)
-    assert len(m.dirichlet_edges) == ndir
+    assert m.dirichlet.sum() == ndir
     assert neumann_count(m) == 8 - ndir
     assert m.dirichlet.dtype == bool
     assert not m.dirichlet[m.interior_edges].any()

@@ -69,8 +69,11 @@ def test_space_dof_counts():
         assert space.num_interior_dofs == 2 * m.num_triangles * nk
         assert space.num_edge_dofs == 2 * m.num_edges * (k + 1)
         assert space.num_dofs == space.num_interior_dofs + space.num_edge_dofs
-        assert len(space.dirichlet_dofs()) == 2 * (k + 1) * len(m.dirichlet_edges)
-        assert len(space.free_dofs()) + len(space.dirichlet_dofs()) == space.num_dofs
+        rows = space.pencil_rows()
+        assert (rows < 0).sum() == 2 * (k + 1) * m.dirichlet.sum()
+        # the free dofs are the pencil's rows in dof order, the interior ones first
+        assert np.array_equal(rows[rows >= 0], np.arange((rows >= 0).sum()))
+        assert np.all(rows[: space.num_interior_dofs] >= 0)
     with pytest.raises(ValueError):
         WgSpace(m, 0)
 
@@ -98,8 +101,9 @@ def test_local_dofs_match_loop_reference(mesh, k):
     assert np.array_equal(space.local_dofs(), _loop_local_dofs(space))
     # each Dirichlet edge constrains its 2 (k + 1) consecutive dofs
     block = 2 * (k + 1)
-    want = space.num_interior_dofs + mesh.dirichlet_edges[:, None] * block + np.arange(block)
-    assert np.array_equal(space.dirichlet_dofs(), want.ravel())
+    d = np.flatnonzero(mesh.dirichlet)
+    want = space.num_interior_dofs + d[:, None] * block + np.arange(block)
+    assert np.array_equal(np.flatnonzero(space.pencil_rows() < 0), want.ravel())
 
 
 def _monomial_gradient(basis, pts):
@@ -150,12 +154,16 @@ def test_pack_matches_quadrature_of_a_separate_lower_basis(mesh, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_stabilizer_is_the_jump_energy_of_the_norm(k):
     # a_w depends on delta only through gamma(h) times the jump energy,
-    # sum_T h_T^-1 ||v0 - vb||_dT^2, here summed edge by edge from the traces
-    m = square(4)
+    # sum_T h_T^-1 ||v0 - vb||_dT^2, here summed edge by edge from the traces, for a
+    # v that vanishes on the bottom edge, the Dirichlet boundary
+    m = square(4, "bottom")
     space = WgSpace(m, k)
     stabs = StabilizationConfig(delta=0.05), StabilizationConfig(delta=2.0)
     A1, A2 = (assemble_forms(space, PARAMS, s).A for s in stabs)
-    v = WgFunction(space, np.random.default_rng(k).standard_normal(space.num_dofs))
+    free = np.flatnonzero(space.pencil_rows() >= 0)
+    x = np.zeros(space.num_dofs)
+    x[free] = np.random.default_rng(k).standard_normal(len(free))
+    v = WgFunction(space, x)
     p, nk, nke = space.pack(), space.nk, space.nke
     cls, loc = p["cls"], v.local_scalar_dofs()
     energy = 0.0
@@ -164,7 +172,7 @@ def test_stabilizer_is_the_jump_energy_of_the_norm(k):
         d = v0 - np.einsum("qm,tcm->tqc", p["chi"], loc[:, :, nk + l * nke:nk + (l + 1) * nke])
         energy += np.einsum("t,tq,tqc,tqc->", 1 / m.h_per_element, p["ew_loc"][cls, l], d, d)
     gap = stabs[0].gamma(m.h_global) - stabs[1].gamma(m.h_global)
-    assert v.coeffs @ ((A1 - A2) @ v.coeffs) == pytest.approx(gap * energy, rel=1e-12)
+    assert x[free] @ ((A1 - A2) @ x[free]) == pytest.approx(gap * energy, rel=1e-12)
 
 
 def test_weak_gradient_of_identity_field():
@@ -329,18 +337,20 @@ def test_assembled_matrices_symmetric(k):
 def test_assembly_stores_no_zeros(monkeypatch, method, k):
     # scatter sums only the positions it is given and drops exact zeros after
     # the COO -> CSR sum, so every stored value is the plain sum of every block
-    # position, bit for bit; WG sends one block per class of triangles and leaves
+    # position, bit for bit, with the Dirichlet dofs' entries in a sink row and
+    # column that are cut off; WG sends one block per class of triangles and leaves
     # out the positions that are zero in every class block, CR sends one block per
     # element and all of its positions in their order
     module = wg_mod if method == "wg" else cr_mod
     scatter = module.scatter
     scattered, sent = [], []
 
-    def checked(blocks, idx, n, pos=None, cls=slice(None)):
-        M = scatter(blocks, idx, n, pos, cls)
-        d = idx.shape[1]
-        rows, cols = np.repeat(idx, d, axis=1).ravel(), np.tile(idx, (1, d)).ravel()
-        plain = sp.coo_matrix((blocks[cls].ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    def checked(blocks, idx, rows, pos=None, cls=slice(None)):
+        M = scatter(blocks, idx, rows, pos, cls)
+        d, n = idx.shape[1], rows.max() + 1
+        r = np.where(rows < 0, n, rows)[idx]
+        ij = (np.repeat(r, d, axis=1).ravel(), np.tile(r, (1, d)).ravel())
+        plain = sp.coo_matrix((blocks[cls].ravel(), ij), shape=(n + 1, n + 1)).tocsr()[:n, :n]
         assert np.array_equal(M.toarray(), plain.toarray())
         scattered.append(M)
         sent.append(np.arange(d * d) if pos is None else pos)
@@ -423,13 +433,13 @@ def test_mass_matrix_zero_on_edge_dofs():
 
 
 def test_stiffness_psd_and_bilinear_symmetry():
-    space = WgSpace(square(4), 1)
+    space = WgSpace(square(4, "bottom"), 1)
     sys = assemble_forms(space, PARAMS, STAB)
     rng = np.random.default_rng(7)
     scale = np.abs(sys.A.data).max()
     for _ in range(50):
-        v = rng.standard_normal(space.num_dofs)
-        w = rng.standard_normal(space.num_dofs)
+        v = rng.standard_normal(len(sys.free))
+        w = rng.standard_normal(len(sys.free))
         avv = v @ (sys.A @ v)
         assert avv >= -1e-12 * scale * (v @ v)
         assert abs(v @ (sys.A @ w) - w @ (sys.A @ v)) <= 1e-12 * scale * np.linalg.norm(v) * np.linalg.norm(w)
@@ -437,14 +447,17 @@ def test_stiffness_psd_and_bilinear_symmetry():
 
 def test_stabilization_vanishes_on_continuous_polynomials():
     # for Q_h of a degree <= k polynomial the interior trace equals the edge
-    # part, so a_w reduces to the strain/divergence energy; check against
-    # the analytic energy of the identity field: eps = I, div = 2
-    m = square(4)
+    # part, so a_w reduces to the strain/divergence energy; check against the
+    # analytic energy of (y, y), which vanishes on the clamped bottom edge:
+    # eps = [[0, 1/2], [1/2, 1]], div = 1
+    m = square(4, "bottom")
     space = WgSpace(m, 1)
     sys = assemble_forms(space, PARAMS, STAB)
-    v = project_global(lambda x, y: np.stack([x, y], axis=-1), space)
-    energy = v.coeffs @ (sys.A @ v.coeffs)
-    want = 2 * PARAMS.mu * 2.0 + PARAMS.lam * 4.0  # area of (0,1)^2 is 1
+    v = project_global(lambda x, y: np.stack([y, y], axis=-1), space)
+    assert np.abs(v.coeffs[space.pencil_rows() < 0]).max() <= 1e-15
+    x = v.coeffs[sys.free]
+    energy = x @ (sys.A @ x)
+    want = 2 * PARAMS.mu * 1.5 + PARAMS.lam * 1.0  # area of (0,1)^2 is 1
     assert energy == pytest.approx(want, rel=1e-12)
 
 
@@ -462,14 +475,14 @@ def test_coercivity_sampled():
         sys = assemble_forms(space, PARAMS, STAB)
         gam = STAB.gamma(m.h_global)
         rng = np.random.default_rng(n)
-        free = space.free_dofs()
+        free = sys.free
         rmin = np.inf
         for _ in range(50):
             x = np.zeros(space.num_dofs)
             x[free] = rng.standard_normal(len(free))
             v = WgFunction(space, x)
             vnorm, _ = norms(v, PARAMS)
-            rmin = min(rmin, (x @ (sys.A @ x)) / (gam * vnorm**2))
+            rmin = min(rmin, (x[free] @ (sys.A @ x[free])) / (gam * vnorm**2))
         ratios.append(rmin)
     assert min(ratios) > 1e-3
     assert max(ratios) / min(ratios) < 50  # no collapse under refinement
@@ -477,16 +490,16 @@ def test_coercivity_sampled():
 
 def test_solve_eigen_synthetic_diagonal():
     space = CrSpace(square(1))  # clamped: only the diagonal edge's 2 dofs are free
-    free = space.free_dofs()
-    d = np.full(space.num_dofs, 9.0)
-    d[free] = [2.0, 3.0]
-    A = sp.diags(d, format="csr")
-    B = sp.identity(space.num_dofs, format="csr")
-    sys = AssembledSystem(A=A, B=B, free=free)
+    free = np.flatnonzero(space.pencil_rows() >= 0)
+    assert len(free) == 2
+    A = sp.diags([3.0, 2.0], format="csr")
+    sys = AssembledSystem(A=A, B=sp.identity(2, format="csr"), free=free)
     res = solve_eigen(sys, 2)
     assert np.allclose(res.eigenvalues, [2.0, 3.0], atol=1e-12)
     assert np.allclose(res.frequencies, np.sqrt([2.0, 3.0]), atol=1e-12)
     assert res.residuals.max() <= 1e-12
+    # the vectors live on the pencil's rows, each positive on its largest entry
+    assert np.allclose(res.vectors, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
 
 def test_eigenvector_b_orthonormality():
@@ -494,6 +507,7 @@ def test_eigenvector_b_orthonormality():
     sys = assemble_forms(space, ElasticParams(nu=0.49), STAB)
     res = solve_eigen(sys, 4)
     V = res.vectors
+    assert V.shape == (len(sys.free), 4)
     gram = V.T @ (sys.B @ V)
     assert np.abs(gram - np.eye(4)).max() <= 1e-8
     assert res.residuals.max() <= 1e-8
@@ -506,15 +520,15 @@ def test_solve_source_zero_load():
     assert np.abs(u.coeffs).max() <= 1e-12
 
 
-def test_source_factor_never_sees_the_full_system(monkeypatch):
-    # solve_source drops the full-size system once it has the free block, so
-    # the factor, the level's peak, does not share memory with it
+def test_source_releases_the_mass_before_the_factor(monkeypatch):
+    # solve_source needs only A and the free dofs, so B is gone before the factor,
+    # the level's peak, is built
     refs = []
     assemble, factorize = wg_mod.assemble_forms, spectra.factorize_spd
 
     def kept(*args):
         sys = assemble(*args)
-        refs.append(weakref.ref(sys))
+        refs.append(weakref.ref(sys.B))
         return sys
 
     def checked(A):
@@ -525,6 +539,45 @@ def test_source_factor_never_sees_the_full_system(monkeypatch):
     monkeypatch.setattr(spectra, "factorize_spd", checked)
     u = solve_source(WgSpace(square(4), 1), PARAMS, STAB, PolyField(2, np.random.default_rng(3)))
     assert np.abs(u.coeffs).max() > 0.0
+
+
+@pytest.mark.parametrize("method, k", [("wg", 1), ("wg", 2), ("cr", 1)])
+@pytest.mark.parametrize("mesh", [square(4, "bottom"), lshape(4)], ids=["bottom", "lshape"])
+def test_assembly_builds_only_the_free_pencil(monkeypatch, mesh, method, k):
+    # A and B are the free-dof pencil, and each scattered matrix is the plain COO
+    # sum of every block position on all dofs, restricted to the free ones: exactly
+    # for WG, whose entries sum at most two terms; CR's sums may reorder when the
+    # Dirichlet entries leave a row, so its A keeps the pattern and moves <= 2 ulp
+    module = wg_mod if method == "wg" else cr_mod
+    scatter, plain = module.scatter, []
+
+    def recorded(blocks, idx, rows, pos=None, cls=slice(None)):
+        d, n = idx.shape[1], len(rows)
+        ij = (np.repeat(idx, d, axis=1).ravel(), np.tile(idx, (1, d)).ravel())
+        plain.append(sp.coo_matrix((blocks[cls].ravel(), ij), shape=(n, n)).tocsr())
+        return scatter(blocks, idx, rows, pos, cls)
+
+    monkeypatch.setattr(module, "scatter", recorded)
+    if method == "wg":
+        sys = assemble_forms(WgSpace(mesh, k), PARAMS, STAB)
+        want = [sys.A, sys.B]
+    else:
+        sys = assemble_cr(CrSpace(mesh), PARAMS, STAB)
+        want = [sys.A]
+        plain[0] = 0.5 * (plain[0] + plain[0].T)
+    free = sys.free
+    assert sys.A.shape == sys.B.shape == (len(free), len(free))
+    assert len(plain) == len(want)
+    for M, full in zip(want, plain):
+        ref = full[free][:, free].tocsr()
+        ref.eliminate_zeros()
+        if method == "wg":
+            assert abs(M - ref).max() == 0.0
+        else:
+            M.sort_indices()
+            ref.sort_indices()
+            assert np.array_equal(M.indptr, ref.indptr) and np.array_equal(M.indices, ref.indices)
+            assert np.abs(M.data - ref.data).max() <= 2 * np.spacing(np.abs(ref.data).max())
 
 
 def test_norms_basic_properties():
