@@ -14,12 +14,14 @@ Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
 1. Krylov phase: ARPACK in shift-invert mode (sigma = 0) on vectors of
    length |r| in the B_rr inner product.  Its operator (A^-1)_rr is one
    bare solve of the factor, without refinement, on a right-hand side padded
-   with zeros outside r; A itself is never multiplied.  If |r| <= m + 3,
-   the number of Ritz vectors ARPACK computes, r's unit vectors replace them.
+   with zeros outside r; A itself is never multiplied.  ARPACK computes
+   m + 1 Ritz vectors; if |r| <= m + 1, r's unit vectors replace them.
 2. Finish: one refined block solve Y = A^-1 pad(B_rr X) from the Ritz
-   vectors X, then Rayleigh-Ritz on the exact pencil (Y^T A Y, Y^T B Y).
-   This removes the error the bare factor leaves in the Krylov subspace and
-   returns full-length B-orthonormal vectors.
+   vectors X, m + 1 columns wide, then Rayleigh-Ritz on the exact pencil
+   (Y^T A Y, Y^T B Y).  This removes the error the bare factor leaves in the
+   Krylov subspace and returns full-length B-orthonormal vectors.  The
+   right-hand side block and Y are dropped as soon as their successor
+   exists, so the finish holds one n-by-(m + 1) block at a time.
 3. Check: the solver decides convergence.  A residual above its bound (see
    RESIDUAL_TOL) fails the call, so every returned pair is converged.
 """
@@ -80,10 +82,21 @@ class SpdFactor:
     it adds one step of iterative refinement, which keeps the residual near
     1e-15 and is what the source solve and the eigensolver's finishing block
     solve use; refine=False applies the bare factor, one pair of triangular
-    solves, as the eigensolver's Krylov phase does."""
+    solves, as the eigensolver's Krylov phase does.  Refinement forms its
+    residual with the caller's A in the caller's order: the factor keeps a
+    reference to that A, which must not change while the factor is used, and
+    drops the reordered copy SuperLU reads once A is factored, so a level
+    holds one A next to its factor.
+
+    SuperLU works in panels of 6 columns, not its default 20: the panel's
+    workspace, live while A is factored, shrinks from 32.4 to about 11.8 MB at
+    98k unknowns, with the same fill.  Through the heap layout the width moves
+    peaks unevenly; of the widths 1-20 tried, 6 gave the lowest peak of the WG
+    k=1 n=128 source level (the others 21-49 MB higher), and its WG ladder
+    peak is within 1.2 MB of the lowest."""
 
     def __init__(self, A):
-        A = sp.csr_matrix(A)
+        self._A = A = sp.csr_matrix(A)
         # the forward Cuthill-McKee order p; q[i] is the new index of unknown i
         p = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)[::-1]
         q = np.empty_like(p)
@@ -93,23 +106,24 @@ class SpdFactor:
             A = sp.csr_matrix((A.data, q[A.indices], A.indptr), shape=A.shape).tocsc()
             A = sp.csc_matrix((A.data, q[A.indices], A.indptr), shape=A.shape)
             self._p, self._q = p, q
-        self._A = A = sp.csc_matrix(A)
         try:
             self._lu = spla.splu(
-                A,
+                sp.csc_matrix(A),
                 diag_pivot_thresh=0.0,
                 permc_spec="MMD_AT_PLUS_A",
+                panel_size=6,  # the lowest measured peaks; see the docstring
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NotPositiveDefiniteError(f"A is singular: {exc}") from exc
 
     def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
-        b = b[self._p]
-        x = self._lu.solve(b)
+        x = self._lu.solve(b[self._p])[self._q]
         if refine:
-            x = x + self._lu.solve(b - self._A @ x)
-        return x[self._q]
+            r = self._A @ x
+            np.subtract(b, r, out=r)
+            x += self._lu.solve(r[self._p])[self._q]
+        return x
 
 
 def factorize_spd(A) -> SpdFactor:
@@ -117,8 +131,13 @@ def factorize_spd(A) -> SpdFactor:
 
     Without diagonal pivoting U has a positive diagonal exactly when A is SPD;
     a pivot that is inf or nan is rejected too.
-    Reading U makes SuperLU cache CSC copies of both factors: the eigensolver
-    therefore uses SpdFactor directly.
+
+    The pivots are read from U, and the read stays although it costs memory:
+    scipy's SuperLU exposes only L, U, nnz, perm_c, perm_r, shape and solve,
+    so U is the one view of the pivots.  Reading L or U converts both factors
+    to CSC copies that stay cached for the factor's lifetime; at WG k=1 n=128
+    that adds 340 MB (459 -> 799 MB in a fresh process) and sets the source
+    solve's peak.  The eigensolver therefore uses SpdFactor directly.
     """
     F = SpdFactor(A)
     d = F._lu.U.diagonal()
@@ -177,14 +196,14 @@ def smallest_generalized_eigs(A, B, m: int, seed=0):
         pad[r] = x
         return factor.solve(pad, refine=False)[r]
 
-    if len(r) <= m + 3:
-        X = np.eye(len(r))  # too few unknowns for ARPACK's m + 3 vectors: all of r
+    if len(r) <= m + 1:
+        X = np.eye(len(r))  # too few unknowns for ARPACK's m + 1 vectors: all of r
     else:
         op = spla.LinearOperator((len(r), len(r)), matvec=apply_inverse, dtype=float)
         v0 = np.random.default_rng(seed).standard_normal(len(r))
         try:
             # in shift-invert mode eigsh reads only the shape of its first argument
-            _, X = spla.eigsh(op, m + 3, M=Brr, sigma=0, OPinv=op, tol=ARPACK_TOL, v0=v0)
+            _, X = spla.eigsh(op, m + 1, M=Brr, sigma=0, OPinv=op, tol=ARPACK_TOL, v0=v0)
         except spla.ArpackError as exc:
             raise failure(f"ARPACK failed on B's support: {exc}") from exc
     # finish: one refined block inverse-iteration step, then Rayleigh-Ritz
@@ -192,12 +211,14 @@ def smallest_generalized_eigs(A, B, m: int, seed=0):
     rhs = np.zeros((n, X.shape[1]))
     rhs[r] = Brr @ X
     Y = factor.solve(rhs)
+    del rhs
     applies += Y.shape[1]
     try:
         vals, W = scipy.linalg.eigh(Y.T @ (A @ Y), Y.T @ (B @ Y))
     except scipy.linalg.LinAlgError as exc:
         raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
     vals, V = vals[:m], Y @ W[:, :m]
+    del Y
     if np.any(vals <= 0):
         raise failure("nonpositive Rayleigh quotient; check matrix PSD-ness")
 

@@ -1,4 +1,5 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ def test_factor_renumbers_a_scattered_matrix():
                 assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
-def test_factor_start_order_on_the_lab_systems():
+def _lab_systems():
     # measured at n = 8: WG k=1 on the clamped square numbers its unknowns cell
     # block first, edges after, so Cuthill-McKee cuts its bandwidth from 828 to 177
     # and the factor renumbers; CR on the bottom-clamped square is edge-major and
@@ -288,13 +289,67 @@ def test_factor_start_order_on_the_lab_systems():
     params, stab = ElasticParams(), StabilizationConfig()
     wg = assemble_forms(WgSpace(square(8), 1), params, stab)
     cr = assemble_cr(CrSpace(square(8, "bottom")), params, stab)
-    for sys_, renumbered in ((wg, True), (cr, False)):
+    return (wg, True), (cr, False)
+
+
+def test_factor_start_order_on_the_lab_systems():
+    for sys_, renumbered in _lab_systems():
         A = sys_.A
         F = factorize_spd(A)
         assert np.array_equal(F._p, np.arange(A.shape[0])) != renumbered
         b = np.ones(A.shape[0])
         x = F.solve(b)
         assert np.abs(A @ x - b).max() <= 1e-14 * abs(A).max() * np.abs(x).max()
+
+
+def test_factor_holds_one_a(monkeypatch):
+    # the factor refines against the caller's A and keeps no copy of it: the
+    # (renumbered) CSC matrix SuperLU receives dies with the constructor.  A
+    # refined solve is accurate in both orders, Cuthill-McKee (WG) and own (CR)
+    received = []
+    original = spla.splu
+
+    def spying_splu(A, **kwargs):
+        received.append(weakref.ref(A))
+        return original(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spying_splu)
+    for sys_, renumbered in _lab_systems():
+        A = sys_.A
+        received.clear()
+        F = SpdFactor(A)
+        assert len(received) == 1 and received[0]() is None
+        assert np.shares_memory(F._A.data, A.data)
+        assert np.array_equal(F._p, np.arange(A.shape[0])) != renumbered
+        b = np.random.default_rng(14).standard_normal((A.shape[0], 2))
+        for rhs in (b[:, 0], b):
+            x = F.solve(rhs)
+            assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("extra, arpack", [(1, False), (2, True)], ids=["unit", "arpack"])
+def test_eigs_branch_edge_at_m_plus_one(monkeypatch, extra, arpack):
+    # ARPACK computes m + 1 Ritz vectors: with |r| = m + 1 r's unit vectors
+    # stand in for them, with |r| = m + 2 ARPACK runs; both match dense eigh
+    calls = []
+    original = spla.eigsh
+
+    def spying_eigsh(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spying_eigsh)
+    n, m = 2200, 3
+    A = random_spd(n, np.random.default_rng(15), sparse=True)
+    mass = np.zeros(n)
+    mass[np.linspace(0, n - 1, m + extra).astype(int)] = np.linspace(1.0, 2.0, m + extra)
+    B = sp.diags(mass, format="csr")
+    vals, V, _ = smallest_generalized_eigs(A, B, m)
+    assert calls == ([m + 1] if arpack else [])
+    theta = scipy.linalg.eigh(B.toarray(), A.toarray(), eigvals_only=True)
+    ref = np.sort(1.0 / theta[-(m + extra):])[:m]
+    assert np.all(np.abs(vals - ref) <= 1e-10 * ref)
+    assert np.abs(V.T @ (B @ V) - np.eye(m)).max() <= 1e-10
 
 
 def _wg_sparse_path_matches_dense(mesh, nu):
@@ -346,7 +401,7 @@ def test_eigs_sparse_path_factor_applications(monkeypatch):
     mass[::3] = 0.0
     B = sp.diags(mass, format="csr")
     m = 4
-    k = m + 3
+    k = m + 1
     _, _, report = smallest_generalized_eigs(A, B, m)
     krylov_steps = report.iterations - k
     assert krylov_steps > 0
@@ -356,7 +411,7 @@ def test_eigs_sparse_path_factor_applications(monkeypatch):
 
 
 def test_eigs_sparse_path_mass_of_low_rank():
-    # B's support r has 3 rows, no more than m + 3: its unit vectors stand in
+    # B's support r has 3 rows, no more than m + 1: its unit vectors stand in
     # for ARPACK's Ritz vectors, so only 3 finite eigenvalues exist; asking for 4 fails
     n = 2200
     rng = np.random.default_rng(7)
@@ -417,13 +472,9 @@ class _CountingCsr(_CountingProducts, sp.csr_matrix):
     pass
 
 
-class _CountingCsc(_CountingProducts, sp.csc_matrix):
-    pass
-
-
 def test_eigs_sparse_path_multiplies_a_only_in_finish_and_check(monkeypatch):
-    # the Krylov loop works on B's support with the factor alone: A (and the
-    # factor's own copy of it) is multiplied by the Rayleigh-Ritz step, the
+    # the Krylov loop works on B's support with the factor alone: A (which the
+    # factor refines against) is multiplied by the Rayleigh-Ritz step, the
     # refinement of the finishing block solve and the residual check, three
     # products whatever the number of Krylov steps; ARPACK's vectors have
     # length |r|, not n
@@ -431,7 +482,7 @@ def test_eigs_sparse_path_multiplies_a_only_in_finish_and_check(monkeypatch):
 
     def counting_init(self, A):
         original_init(self, A)
-        self._A = _CountingCsc(self._A)
+        self._A = _CountingCsr(self._A)
 
     monkeypatch.setattr(SpdFactor, "__init__", counting_init)
     monkeypatch.setattr(_CountingProducts, "products", 0)
@@ -450,7 +501,7 @@ def test_eigs_sparse_path_multiplies_a_only_in_finish_and_check(monkeypatch):
     mass[::3] = 0.0
     B = sp.diags(mass, format="csr")
     _, _, report = smallest_generalized_eigs(A, B, 4)
-    assert report.iterations > 7  # Krylov steps beyond the finish's 7 columns
+    assert report.iterations > 7  # the finish's 5 columns and at least 3 Krylov steps
     assert _CountingProducts.products == 3
     assert lengths == [np.count_nonzero(mass)] * 3
 
