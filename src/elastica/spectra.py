@@ -34,7 +34,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from .errors import NotPositiveDefiniteError, SolverFailure
 
@@ -63,30 +62,25 @@ class SolveReport:
         return float(np.max(self.residuals))
 
 
-def _bandwidth(A, q) -> int:
-    """max |q[i] - q[j]| over the stored entries (i, j) of a CSR matrix."""
-    i = np.repeat(np.arange(A.shape[0], dtype=q.dtype), np.diff(A.indptr))
-    return int(np.abs(q[i] - q[A.indices]).max(initial=0))
-
-
 class SpdFactor:
     """Sparse LU factor of a symmetric matrix: MMD ordering on A + A^T,
     symmetric mode, no diagonal pivoting.  It does not check definiteness;
     factorize_spd does.  An exactly singular A raises NotPositiveDefiniteError.
 
-    MMD breaks ties by index, so a scattered numbering fills more (George and
-    Liu, SIAM Review 31, 1989): when the Cuthill-McKee order at least halves
-    A's bandwidth, A is factored in that order.  Its pivots are A's reordered.
+    A is factored in the order it is given: WG's assembly numbers its pencil
+    for MMD, CR's edge-major order is banded already (see wg.assemble_forms).
+    A symmetric A's compressed rows are its compressed columns, so SuperLU reads
+    the caller's arrays and no copy of A is made (a CSR A with unsorted rows is
+    sorted in place).
 
     solve takes one right-hand side or a block of them (columns).  By default
     it adds one step of iterative refinement, which keeps the residual near
     1e-15 and is what the source solve and the eigensolver's finishing block
     solve use; refine=False applies the bare factor, one pair of triangular
     solves, as the eigensolver's Krylov phase does.  Refinement forms its
-    residual with the caller's A in the caller's order: the factor keeps a
-    reference to that A, which must not change while the factor is used, and
-    drops the reordered copy SuperLU reads once A is factored, so a level
-    holds one A next to its factor.
+    residual with the caller's A: the factor keeps a reference to that A,
+    which must not change while the factor is used, so a level holds one A
+    next to its factor.
 
     SuperLU works in panels of 6 columns, not its default 20: the panel's
     workspace, live while A is factored, shrinks from 32.4 to about 11.8 MB at
@@ -97,18 +91,9 @@ class SpdFactor:
 
     def __init__(self, A):
         self._A = A = sp.csr_matrix(A)
-        # the forward Cuthill-McKee order p; q[i] is the new index of unknown i
-        p = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)[::-1]
-        q = np.empty_like(p)
-        q[p] = self._p = self._q = np.arange(len(p), dtype=p.dtype)
-        if 2 * _bandwidth(A, q) <= _bandwidth(A, self._q):
-            # P A P^T in one copy of A: renumber the columns, go to CSC, renumber the rows
-            A = sp.csr_matrix((A.data, q[A.indices], A.indptr), shape=A.shape).tocsc()
-            A = sp.csc_matrix((A.data, q[A.indices], A.indptr), shape=A.shape)
-            self._p, self._q = p, q
         try:
             self._lu = spla.splu(
-                sp.csc_matrix(A),
+                A.T,  # a CSC view of A's own arrays: A^T, which is A
                 diag_pivot_thresh=0.0,
                 permc_spec="MMD_AT_PLUS_A",
                 panel_size=6,  # the lowest measured peaks; see the docstring
@@ -118,11 +103,11 @@ class SpdFactor:
             raise NotPositiveDefiniteError(f"A is singular: {exc}") from exc
 
     def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
-        x = self._lu.solve(b[self._p])[self._q]
+        x = self._lu.solve(b)
         if refine:
             r = self._A @ x
             np.subtract(b, r, out=r)
-            x += self._lu.solve(r[self._p])[self._q]
+            x += self._lu.solve(r)
         return x
 
 

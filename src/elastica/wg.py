@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import spectra
 from ._quadmap import edge_quadrature
@@ -104,8 +105,8 @@ class _EdgeLayout:
         return self.num_interior_dofs + edges[..., None, None] * 2 * self.nke + comp
 
     def pencil_rows(self) -> np.ndarray:
-        """Row of each dof in the free-dof pencil, free dofs in dof order (the interior
-        ones first), and -1 on the dofs of the Dirichlet edges."""
+        """scatter's row map: free dofs in dof order (the interior ones first), -1 on
+        the Dirichlet edges' dofs.  CR's pencil keeps it; WG's is renumbered after."""
         if not self.mesh.dirichlet.any():
             raise ValueError("mesh has no Dirichlet edges; tag the boundary first")
         free = np.concatenate([np.ones(self.num_interior_dofs, dtype=bool),
@@ -287,7 +288,7 @@ def weak_divergence(v: WgFunction) -> np.ndarray:
 def assemble_forms(
     space: WgSpace, params: ElasticParams, stab: StabilizationConfig
 ) -> AssembledSystem:
-    """Assemble the stiffness a_w and the (singular) mass b_w on the free dofs."""
+    """Assemble a_w and the (singular) b_w on the free dofs, in A's Cuthill-McKee order."""
     m = space.mesh
     p = space.pack()
     nt = m.num_triangles
@@ -319,11 +320,22 @@ def assemble_forms(
     # rows and columns, changes no sum
     gidx, cls, rows = space.local_dofs(), p["cls"], space.pencil_rows()  # (nt, 2, ns)
     A = scatter(K, gidx.reshape(nt, 2 * ns), rows, np.flatnonzero((K != 0).any(axis=0)), cls)
-    # one P_k mass block per element and component
-    B = scatter(p["Mphi"], gidx[:, :, :nk].reshape(2 * nt, nk), rows,
-                np.flatnonzero((p["Mphi"] != 0).any(axis=0)), np.repeat(cls, 2))
 
-    return AssembledSystem(A=A, B=B, free=np.flatnonzero(rows >= 0))
+    # MMD, the factor's ordering, breaks ties by index, so it fills a scattered numbering
+    # more (George and Liu, SIAM Review 31, 1989); the dof order, interior dofs first,
+    # is scattered (bandwidth 828, 177 under Cuthill-McKee at k=1 n=8).  So the pencil
+    # comes in A's forward Cuthill-McKee order perm, with sorted rows, which the factor
+    # hands to SuperLU as they are.
+    perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)[::-1]
+    new = np.empty_like(perm)
+    new[perm] = np.arange(len(perm), dtype=perm.dtype)
+    A = A[perm]
+    A = sp.csr_matrix((A.data, new[A.indices], A.indptr), shape=A.shape)
+    A.sort_indices()
+    # one P_k mass block per element and component, summed straight into that order
+    B = scatter(p["Mphi"], gidx[:, :, :nk].reshape(2 * nt, nk), np.where(rows >= 0, new[rows], -1),
+                np.flatnonzero((p["Mphi"] != 0).any(axis=0)), np.repeat(cls, 2))
+    return AssembledSystem(A=A, B=B, free=np.flatnonzero(rows >= 0)[perm])
 
 
 def scatter(blocks: np.ndarray, idx: np.ndarray, rows: np.ndarray, pos=None,
@@ -381,11 +393,10 @@ def solve_source(
     sys = assemble_forms(space, params, stab)
     A, free = sys.A, sys.free
     del sys  # the factor sets the level's peak; it does not need B
-    # the load sits on the interior dofs, the pencil's leading rows
-    rhs = np.zeros(len(free))
-    rhs[: space.num_interior_dofs] = _cell_moments(f, space.mesh, space.pack()).reshape(-1)
+    # the load sits on the interior dofs, all free; x stays zero on the Dirichlet ones
     x = np.zeros(space.num_dofs)
-    x[free] = spectra.factorize_spd(A).solve(rhs)
+    x[: space.num_interior_dofs] = _cell_moments(f, space.mesh, space.pack()).reshape(-1)
+    x[free] = spectra.factorize_spd(A).solve(x[free])
     return WgFunction(space=space, coeffs=x)
 
 

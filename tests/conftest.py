@@ -23,6 +23,12 @@ def lshape(n):
     return classify_boundary(build_lshape_mesh(n), full_dirichlet())
 
 
+def bandwidth(A):
+    """max |i - j| over the stored entries (i, j) of a sparse matrix."""
+    A = A.tocoo()
+    return int(np.abs(A.row - A.col).max())
+
+
 @pytest.fixture
 def square4():
     return square(4)

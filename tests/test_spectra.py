@@ -18,7 +18,7 @@ from elastica import (
 from elastica.errors import NotPositiveDefiniteError, SolverFailure
 from elastica.spectra import SpdFactor, factorize_spd, smallest_generalized_eigs
 
-from conftest import lshape, square
+from conftest import bandwidth, lshape, square
 
 
 def random_spd(n, rng, sparse=False):
@@ -252,25 +252,25 @@ def grid_laplacian(nx):
     return (sp.kron(sp.identity(nx), T) + sp.kron(S, sp.identity(nx))).tocsr()
 
 
-def test_factor_renumbers_a_scattered_matrix():
-    # a random renumbering of a banded matrix is factored in Cuthill-McKee
-    # order, which cuts the fill MMD leaves on the scattered order; the banded
-    # original keeps its own order
+def test_factor_keeps_the_order_it_is_given():
+    # the factor renumbers nothing: its column order is SuperLU's MMD on the matrix
+    # as given, so a random renumbering of a banded matrix fills more than the
+    # banded original.  Both solve accurately, refined or bare, one column or a block
     banded = grid_laplacian(50)
     n = banded.shape[0]
     rng = np.random.default_rng(13)
     p = rng.permutation(n)
     scattered = banded[p][:, p]
-    as_given = spla.splu(
-        scattered.tocsc(),
-        diag_pivot_thresh=0.0,
-        permc_spec="MMD_AT_PLUS_A",
-        options=dict(SymmetricMode=True),
-    )
     F, G = factorize_spd(banded), factorize_spd(scattered)
-    assert np.array_equal(F._p, np.arange(n))
-    assert not np.array_equal(G._p, np.arange(n))
-    assert G._lu.nnz < as_given.nnz
+    for A, factor in ((banded, F), (scattered, G)):
+        as_given = spla.splu(
+            A.tocsc(),
+            diag_pivot_thresh=0.0,
+            permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True),
+        )
+        assert np.array_equal(factor._lu.perm_c, as_given.perm_c)
+    assert F._lu.nnz < G._lu.nnz
     b = rng.standard_normal((n, 3))
     for A, factor in ((banded, F), (scattered, G)):
         ref = np.linalg.solve(A.toarray(), b)
@@ -282,45 +282,53 @@ def test_factor_renumbers_a_scattered_matrix():
 
 
 def _lab_systems():
-    # measured at n = 8: WG k=1 on the clamped square numbers its unknowns cell
-    # block first, edges after, so Cuthill-McKee cuts its bandwidth from 828 to 177
-    # and the factor renumbers; CR on the bottom-clamped square is edge-major and
-    # already banded (54 against 51), so the factor keeps its own order
+    # n = 8: WG k=1 on the clamped square, CR on the bottom-clamped square
     params, stab = ElasticParams(), StabilizationConfig()
     wg = assemble_forms(WgSpace(square(8), 1), params, stab)
     cr = assemble_cr(CrSpace(square(8, "bottom")), params, stab)
-    return (wg, True), (cr, False)
+    return wg, cr
 
 
 def test_factor_start_order_on_the_lab_systems():
-    for sys_, renumbered in _lab_systems():
+    # the lab hands the factor banded systems: WG's pencil in Cuthill-McKee order
+    # (bandwidth 177; 828 in dof order), CR's in its own edge-major order (54)
+    for sys_, width in zip(_lab_systems(), (177, 54)):
         A = sys_.A
+        assert bandwidth(A) == width
         F = factorize_spd(A)
-        assert np.array_equal(F._p, np.arange(A.shape[0])) != renumbered
         b = np.ones(A.shape[0])
         x = F.solve(b)
         assert np.abs(A @ x - b).max() <= 1e-14 * abs(A).max() * np.abs(x).max()
 
 
+def test_factor_fill_on_the_lab_systems():
+    # SuperLU's fill on the lab systems at n = 8 and on WG k=2, the same as when the
+    # factor renumbered WG's dof-order pencil itself: the same matrix reaches SuperLU
+    wg2 = assemble_forms(WgSpace(square(8), 2), ElasticParams(), StabilizationConfig())
+    fills = [SpdFactor(sys_.A)._lu.nnz for sys_ in _lab_systems() + (wg2,)]
+    assert fills == [48392, 31132, 126456]
+
+
 def test_factor_holds_one_a(monkeypatch):
-    # the factor refines against the caller's A and keeps no copy of it: the
-    # (renumbered) CSC matrix SuperLU receives dies with the constructor.  A
-    # refined solve is accurate in both orders, Cuthill-McKee (WG) and own (CR)
+    # the factor refines against the caller's A and makes no copy of it: SuperLU
+    # reads A's own arrays as the columns of A^T = A, through a view that dies with
+    # the constructor.  A refined solve is accurate on both lab systems
     received = []
     original = spla.splu
 
-    def spying_splu(A, **kwargs):
-        received.append(weakref.ref(A))
-        return original(A, **kwargs)
+    def spying_splu(M, **kwargs):
+        received.append((weakref.ref(M), M.data, M.indices))
+        return original(M, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spying_splu)
-    for sys_, renumbered in _lab_systems():
+    for sys_ in _lab_systems():
         A = sys_.A
         received.clear()
         F = SpdFactor(A)
-        assert len(received) == 1 and received[0]() is None
+        (view, data, indices), = received
+        assert view() is None
+        assert np.shares_memory(data, A.data) and np.shares_memory(indices, A.indices)
         assert np.shares_memory(F._A.data, A.data)
-        assert np.array_equal(F._p, np.arange(A.shape[0])) != renumbered
         b = np.random.default_rng(14).standard_normal((A.shape[0], 2))
         for rhs in (b[:, 0], b):
             x = F.solve(rhs)

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from elastica import (
     CrSpace,
@@ -35,7 +36,7 @@ from elastica.wg import (
     weak_strain,
 )
 from elastica import cr as cr_mod, spectra, wg as wg_mod
-from conftest import PolyField, lshape, square
+from conftest import PolyField, bandwidth, lshape, square
 
 
 PARAMS = ElasticParams(E=1.0, nu=0.3)
@@ -71,7 +72,7 @@ def test_space_dof_counts():
         assert space.num_dofs == space.num_interior_dofs + space.num_edge_dofs
         rows = space.pencil_rows()
         assert (rows < 0).sum() == 2 * (k + 1) * m.dirichlet.sum()
-        # the free dofs are the pencil's rows in dof order, the interior ones first
+        # scatter numbers the free dofs in dof order, the interior ones first
         assert np.array_equal(rows[rows >= 0], np.arange((rows >= 0).sum()))
         assert np.all(rows[: space.num_interior_dofs] >= 0)
     with pytest.raises(ValueError):
@@ -159,8 +160,9 @@ def test_stabilizer_is_the_jump_energy_of_the_norm(k):
     m = square(4, "bottom")
     space = WgSpace(m, k)
     stabs = StabilizationConfig(delta=0.05), StabilizationConfig(delta=2.0)
-    A1, A2 = (assemble_forms(space, PARAMS, s).A for s in stabs)
-    free = np.flatnonzero(space.pencil_rows() >= 0)
+    sys1, sys2 = (assemble_forms(space, PARAMS, s) for s in stabs)
+    A1, A2, free = sys1.A, sys2.A, sys1.free
+    assert np.array_equal(sys2.free, free)
     x = np.zeros(space.num_dofs)
     x[free] = np.random.default_rng(k).standard_normal(len(free))
     v = WgFunction(space, x)
@@ -404,7 +406,8 @@ def test_wg_pattern_and_stabilizer_do_not_depend_on_the_material(k):
         if k == 1:
             # the weak gradient does not see the cell dofs, so their rows are the
             # stabilizer alone, the same at every E
-            rows = slice(0, space.num_interior_dofs)
+            sys1 = assemble_forms(space, ElasticParams(E=1.0, nu=0.49), STAB)
+            rows = np.flatnonzero(sys1.free < space.num_interior_dofs)
             A13 = assemble_forms(space, ElasticParams(E=1e13, nu=0.49), STAB).A
             assert (A13[rows] != A1[rows]).nnz == 0 and A1[rows].nnz > 0
 
@@ -424,12 +427,51 @@ def test_assembly_traced_peak_is_a_few_times_its_matrices():
 def test_mass_matrix_zero_on_edge_dofs():
     space = WgSpace(square(4), 1)
     sys = assemble_forms(space, PARAMS, STAB)
-    nint = space.num_interior_dofs
-    tail = sys.B[nint:, :]
+    cell = sys.free < space.num_interior_dofs
+    tail = sys.B[np.flatnonzero(~cell), :]
     assert tail.nnz == 0 or np.abs(tail.data).max() == 0.0
     # interior block is positive definite
-    Bd = sys.B[:nint, :nint].toarray()
+    Bd = sys.B[cell][:, cell].toarray()
     assert np.linalg.eigvalsh(Bd).min() > 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh", [square(4, "bottom"), lshape(4)], ids=["bottom", "lshape"])
+def test_mass_support_is_the_interior_through_free(mesh, k):
+    # B's support, the rows the eigensolver works on, is the interior: free takes
+    # those rows onto the interior dofs, one each, and every other row to an edge dof
+    space = WgSpace(mesh, k)
+    sys = assemble_forms(space, PARAMS, STAB)
+    support = sys.B.diagonal() > 0
+    assert np.array_equal(np.sort(sys.free[support]), np.arange(space.num_interior_dofs))
+    assert np.all(sys.free[~support] >= space.num_interior_dofs)
+
+
+def test_wg_pencil_comes_in_cuthill_mckee_order(monkeypatch):
+    # scatter sums A in dof order (bandwidth 828 at k=1 n=8); assemble_forms returns
+    # it and free in its forward Cuthill-McKee order (bandwidth 177), every row sorted,
+    # as the factor hands it to SuperLU (test_assembly_builds_only_the_free_pencil
+    # checks B in that order)
+    summed = []
+    scatter = wg_mod.scatter
+
+    def recorded(*args):
+        summed.append(scatter(*args))
+        return summed[-1]
+
+    monkeypatch.setattr(wg_mod, "scatter", recorded)
+    space = WgSpace(square(8), 1)
+    sys = assemble_forms(space, PARAMS, STAB)
+    A = summed[0]
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)[::-1]
+    assert (bandwidth(A), bandwidth(sys.A)) == (828, 177)
+    assert np.array_equal(sys.free, np.flatnonzero(space.pencil_rows() >= 0)[perm])
+    want = A[perm][:, perm]
+    want.sort_indices()
+    assert sys.A.has_canonical_format
+    assert np.array_equal(sys.A.indptr, want.indptr)
+    assert np.array_equal(sys.A.indices, want.indices)
+    assert np.array_equal(sys.A.data, want.data)
 
 
 def test_stiffness_psd_and_bilinear_symmetry():
@@ -512,6 +554,32 @@ def test_eigenvector_b_orthonormality():
     assert np.abs(gram - np.eye(4)).max() <= 1e-8
     assert res.residuals.max() <= 1e-8
     assert np.all(np.diff(res.eigenvalues) >= 0)
+
+
+@pytest.mark.parametrize("k, n, want", [
+    (1, 8, (0.8562816313354985, 0.06189290009130247)),
+    (2, 4, (0.6442994043683482, 0.030759178655557894)),
+])
+def test_source_error_norms_are_pinned(k, n, want):
+    # the (energy, L2) norms of Q_h u - u_h for u = (g, g), g = sin(pi x) sin(pi y),
+    # as recorded with the dof-order pencil; a load on the wrong rows moves them far
+    # beyond rounding
+    mu, lam = PARAMS.mu, PARAMS.lam
+
+    def u(x, y):
+        s = np.sin(np.pi * x) * np.sin(np.pi * y)
+        return np.stack([s, s], axis=-1)
+
+    def f(x, y):  # -div sigma(u)
+        s = np.sin(np.pi * x) * np.sin(np.pi * y)
+        c = np.cos(np.pi * x) * np.cos(np.pi * y)
+        val = 2 * mu * np.pi**2 * s + (mu + lam) * np.pi**2 * (s - c)
+        return np.stack([val, val], axis=-1)
+
+    space = WgSpace(square(n), k)
+    uh = solve_source(space, PARAMS, STAB, f)
+    got = norms(WgFunction(space, project_global(u, space).coeffs - uh.coeffs), PARAMS)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_solve_source_zero_load():
