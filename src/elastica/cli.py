@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 any solver failure during the run, at any swept nu
 --eigs above the number of finite eigenvalues fails its level at once), 3 failed
 lower-bound check (--check-lower, on every swept nu; the condition and nu are
 named), 4 invalid configuration, including an unknown or unparsable ``run``
-flag, an unreadable or malformed --config file and an --out path that cannot
-be written (nothing is run).
+flag, an unreadable or malformed --config file, a --nus with fewer than two
+distinct ratios and an --out path that cannot be written (nothing is run).
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _configure(args):
         **{field: merged[key] for key, field in _FIELDS.items() if key in merged},
     )
     nus = merged["nus"]
-    if len(nus) == 1:
-        raise ValueError("locking sweep needs at least two Poisson ratios")
+    if len(set(nus)) == 1:
+        raise ValueError("locking sweep needs at least two distinct Poisson ratios")
     for nu in nus:
         replace(cfg, nu=nu)  # checks each swept Poisson ratio before any solve
     out = merged["out"]

@@ -184,13 +184,13 @@ def run_experiment(cfg: ExperimentConfig) -> RateTable:
 def locking_sweep(cfg: ExperimentConfig, nus) -> dict:
     """Run the experiment per Poisson ratio and report eigenfrequency drift.
 
-    Each distinct nu is solved once.  Returns {"nus": ..., "tables": {nu:
-    RateTable}, "max_rel_deviation": (num_eigs, nlevels) array of the spread
-    across nu values}.
+    Each distinct nu is solved once; at least two are needed (ValueError).
+    Returns {"nus": ..., "tables": {nu: RateTable}, "max_rel_deviation":
+    (num_eigs, nlevels) array of the spread across nu values}.
     """
     nus = list(nus)
-    if len(nus) < 2:
-        raise ValueError("locking sweep needs at least two Poisson ratios")
+    if len(set(nus)) < 2:
+        raise ValueError("locking sweep needs at least two distinct Poisson ratios")
     tables = {nu: run_experiment(replace(cfg, nu=nu)) for nu in dict.fromkeys(nus)}
     stack = np.stack([tables[nu].omegas for nu in nus])  # (nnu, m, nlev)
     dev = (stack.max(axis=0) - stack.min(axis=0)) / stack.min(axis=0)

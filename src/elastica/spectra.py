@@ -28,6 +28,8 @@ Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,17 @@ ARPACK_TOL = 1e-10  # on the shift-inverted problem on B's support, whose eigenv
 # a residual is converged within RESIDUAL_TOL, or ROUNDING * ||A||_1 ||x|| / ||A x|| where that
 # floor is larger (a stiff A, nu near 1/2), never above RESIDUAL_CAP (a tiny E lifts it above 1)
 RESIDUAL_TOL, RESIDUAL_CAP = 1e-8, 1e-5
+
+
+def _heap_trimmer(libc):
+    """glibc's malloc_trim(0) from C library libc; a no-op where libc has none."""
+    if (trim := getattr(libc, "malloc_trim", None)) is None:
+        return lambda: None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return lambda: trim(0)
+
+
+_trim_heap = _heap_trimmer(ctypes.CDLL(None) if os.name == "posix" else None)
 
 
 @dataclass
@@ -82,25 +95,27 @@ class SpdFactor:
     which must not change while the factor is used, so a level holds one A
     next to its factor.
 
-    SuperLU works in panels of 6 columns, not its default 20: the panel's
-    workspace, live while A is factored, shrinks from 32.4 to about 11.8 MB at
-    98k unknowns, with the same fill.  Through the heap layout the width moves
-    peaks unevenly; of the widths 1-20 tried, 6 gave the lowest peak of the WG
-    k=1 n=128 source level (the others 21-49 MB higher), and its WG ladder
-    peak is within 1.2 MB of the lowest."""
+    glibc's malloc_trim(0) returns freed heap to the OS right before SuperLU
+    factors (the assembly's and earlier levels', 79-93 MB at CR n=128 in a
+    ladder) and right after (its workspace), so a ladder's level peaks like a
+    fresh one.  SuperLU's panels are 6 columns wide, not 20: the same fill and
+    peak, an 11.8 against a 32.4 MB workspace at 98k unknowns, and a faster WG
+    factor (see the README)."""
 
     def __init__(self, A):
         self._A = A = sp.csr_matrix(A)
+        _trim_heap()  # the assembly's temporaries and those of earlier levels
         try:
             self._lu = spla.splu(
                 A.T,  # a CSC view of A's own arrays: A^T, which is A
                 diag_pivot_thresh=0.0,
                 permc_spec="MMD_AT_PLUS_A",
-                panel_size=6,  # the lowest measured peaks; see the docstring
+                panel_size=6,  # see the docstring
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NotPositiveDefiniteError(f"A is singular: {exc}") from exc
+        _trim_heap()  # SuperLU's own workspace
 
     def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
         x = self._lu.solve(b)
@@ -120,9 +135,9 @@ def factorize_spd(A) -> SpdFactor:
     The pivots are read from U, and the read stays although it costs memory:
     scipy's SuperLU exposes only L, U, nnz, perm_c, perm_r, shape and solve,
     so U is the one view of the pivots.  Reading L or U converts both factors
-    to CSC copies that stay cached for the factor's lifetime; at WG k=1 n=128
-    that adds 340 MB (459 -> 799 MB in a fresh process) and sets the source
-    solve's peak.  The eigensolver therefore uses SpdFactor directly.
+    to CSC copies that stay cached for the factor's lifetime and set the source
+    solve's peak (about 773 MB at WG k=1 n=128, with SuperLU's workspace
+    trimmed).  The eigensolver therefore uses SpdFactor directly.
     """
     F = SpdFactor(A)
     d = F._lu.U.diagonal()

@@ -93,10 +93,10 @@ def test_locking_sweep_solves_a_repeated_nu_once(monkeypatch):
 
     monkeypatch.setattr(lab, "run_experiment", counting)
     cfg = ExperimentConfig(levels=(2, 4), num_eigs=1)
-    sweep = lab.locking_sweep(cfg, [0.3, 0.3])
-    assert calls == [0.3]
-    assert sweep["nus"] == [0.3, 0.3]
-    assert np.all(sweep["max_rel_deviation"] == 0.0)
+    sweep = lab.locking_sweep(cfg, [0.3, 0.35, 0.3])
+    assert calls == [0.3, 0.35]
+    assert sweep["nus"] == [0.3, 0.35, 0.3]
+    assert list(sweep["tables"]) == [0.3, 0.35]
 
 
 def test_sweep_failure_at_a_later_nu_fails_the_run(tmp_path, monkeypatch, capsys):
@@ -232,6 +232,7 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
         (["--order", "0"], None),
         (["--levels", "2,4", "--nus", "0.3,0.5"], None),
         (["--levels", "2,4", "--nus", "0.3"], None),
+        (["--levels", "2,4", "--eigs", "1", "--nus", "0.3,0.3"], None),
         (["--levels", "2,4"], "experiment = foo\n"),
         (["--levels", "2,4"], "format = xls\n"),
         (["--levels", "2,4"], "check_lower = ture\n"),
@@ -257,7 +258,7 @@ def test_check_lower_names_the_richardson_excess(tmp_path, monkeypatch, capsys):
         (["--levels", ",2,4"], None),
         (["--levels", "2,4", "--nus", "0.3,,0.4"], None),
     ],
-    ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "cfg-experiment",
+    ids=["levels", "nu", "eigs", "order", "nus", "single-nu", "repeated-nu", "cfg-experiment",
          "cfg-format", "cfg-check-lower", "missing-cfg", "flag-method", "flag-order",
          "flag-levels", "flag-unknown", "delta", "no-levels", "zero-level", "E-inf",
          "E-nan", "delta-inf", "delta-nan", "order-15", "empty-out", "cfg-empty-out",

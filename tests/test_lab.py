@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastica import ExperimentConfig, RateTable, run_experiment
+from elastica import ExperimentConfig, RateTable, lab, run_experiment
 from elastica.lab import (
     check_lower_bounds,
     convergence_order,
@@ -88,6 +88,16 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("nus", [[], [0.3], [0.3, 0.3]], ids=["none", "single", "repeated"])
+def test_locking_sweep_needs_two_distinct_ratios(monkeypatch, nus):
+    def never(cfg):
+        raise AssertionError("run_experiment called for a sweep of one nu")
+
+    monkeypatch.setattr(lab, "run_experiment", never)
+    with pytest.raises(ValueError, match="two distinct Poisson ratios"):
+        lab.locking_sweep(ExperimentConfig(levels=(2, 4), num_eigs=1), nus)
 
 
 def test_run_experiment_small_and_deterministic():

@@ -14,6 +14,7 @@ from elastica import (
     WgSpace,
     assemble_cr,
     assemble_forms,
+    spectra,
 )
 from elastica.errors import NotPositiveDefiniteError, SolverFailure
 from elastica.spectra import SpdFactor, factorize_spd, smallest_generalized_eigs
@@ -333,6 +334,43 @@ def test_factor_holds_one_a(monkeypatch):
         for rhs in (b[:, 0], b):
             x = F.solve(rhs)
             assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_factor_trims_the_heap_around_splu(monkeypatch):
+    # freed heap goes back to the OS right before SuperLU factors (the assembly's
+    # temporaries) and right after (SuperLU's workspace), once each
+    calls = []
+    original = spla.splu
+
+    def spying_splu(M, **kwargs):
+        calls.append("splu")
+        return original(M, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spying_splu)
+    monkeypatch.setattr(spectra, "_trim_heap", lambda: calls.append("trim"))
+    SpdFactor(grid_laplacian(30))
+    assert calls == ["trim", "splu", "trim"]
+
+
+def test_factor_without_malloc_trim_gives_the_same_numbers(monkeypatch):
+    # a C library without malloc_trim (musl, macOS; None on Windows) gives a no-op
+    # hook, and the trim changes no arithmetic: factor, solves and eigenpairs agree
+    # bit for bit with and without it
+    for libc in (None, object()):
+        assert spectra._heap_trimmer(libc)() is None
+    wg = _lab_systems()[0]
+    A, B = wg.A, wg.B
+    b = np.random.default_rng(15).standard_normal(A.shape[0])
+
+    def numbers():
+        F, G = SpdFactor(A), factorize_spd(A)
+        vals, V, report = smallest_generalized_eigs(A, B, 3)
+        return F._lu.nnz, F.solve(b), G.solve(b, refine=False), vals, V, report.residuals
+
+    trimmed = numbers()
+    monkeypatch.setattr(spectra, "_trim_heap", spectra._heap_trimmer(None))
+    for got, want in zip(numbers(), trimmed):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("extra, arpack", [(1, False), (2, True)], ids=["unit", "arpack"])
