@@ -17,7 +17,7 @@ from elastica import (
     refine_uniform,
 )
 from elastica.cr import jump_values
-from elastica.project import project_cell_matrix, project_global
+from elastica.project import project_cell_scalar, project_global
 from elastica.wg import weak_gradient
 
 mesh = classify_boundary(build_square_mesh(4), full_dirichlet())
@@ -45,7 +45,7 @@ def field_grad(x, y):
 
 v = project_global(field, space)
 lhs = weak_gradient(v)
-rhs = project_cell_matrix(field_grad, mesh, 1)
+rhs = project_cell_scalar(field_grad, mesh, 1)
 print(
     "weak gradient of the projection vs projected gradient: "
     f"max difference {np.abs(lhs - rhs).max():.2e}"

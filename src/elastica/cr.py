@@ -122,7 +122,7 @@ def assemble_cr(
     mass = np.bincount(m.tri_edges.ravel(), np.repeat(area / 3.0, 3), m.num_edges)
     B = sp.diags(np.repeat(mass, 2)[free], format="csr")
 
-    return AssembledSystem(A=A, B=B, free=free)
+    return AssembledSystem(A=A, B=B, free=free, bases=space.orbit_bases(free))
 
 
 def _jumps(space: CrSpace):

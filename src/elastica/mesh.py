@@ -18,6 +18,7 @@ __all__ = [
     "build_square_mesh",
     "build_lshape_mesh",
     "refine_uniform",
+    "reflection",
     "classify_boundary",
     "full_dirichlet",
     "bottom_dirichlet",
@@ -247,6 +248,22 @@ def refine_uniform(m: Mesh) -> Mesh:
     dirichlet = refined.dirichlet.copy()
     dirichlet[b] = m.dirichlet[refined.edges[b, 1] - nv]
     return replace(refined, dirichlet=dirichlet)
+
+
+def reflection(m: Mesh):
+    """Index maps (vertices, edges, triangles) of the reflection (x, y) -> (y, x) of m onto
+    itself, or None unless it maps m's vertices (exactly), triangles and Dirichlet edges."""
+    z, zr = m.vertices @ [1, 1j], m.vertices @ [1j, 1]  # complex keys sort like (x, y)
+    order = np.argsort(z)
+    vmap = order[np.searchsorted(z[order], zr) % len(z)]
+    ends = np.sort(vmap[m.edges], axis=1)  # edge keys lo * nv + hi ascend (np.unique)
+    emap = np.searchsorted(m.edges @ [len(z), 1], ends @ [len(z), 1]) % len(ends)
+    # T's image is the triangle that the images of its first two edges share
+    a, b = m.edge_tris[emap[m.tri_edges[:, 0]]], m.edge_tris[emap[m.tri_edges[:, 1]]]
+    tmap = np.where((a[:, :1] == b).any(axis=1), a[:, 0], a[:, 1])
+    same = [(z[vmap], zr), (m.edges[emap], ends), (m.dirichlet[emap], m.dirichlet),
+            (np.sort(m.triangles[tmap], axis=1), np.sort(vmap[m.triangles], axis=1))]
+    return (vmap, emap, tmap) if all(np.array_equal(*pair) for pair in same) else None
 
 
 def classify_boundary(m: Mesh, predicate) -> Mesh:

@@ -34,7 +34,6 @@ from .polyquad import CellBasis, cell_basis_dim, edge_basis
 
 __all__ = [
     "project_cell_scalar",
-    "project_cell_matrix",
     "project_global",
 ]
 
@@ -106,14 +105,11 @@ def project_cell_scalar(f, m: Mesh, k: int) -> np.ndarray:
     """L2-project the field f componentwise onto P_{k-1}(T) on every element.
 
     Returns coefficients of shape (nt, dim P_{k-1}) for a scalar field and
-    (nt, 2, 2, dim P_{k-1}) for a 2x2 matrix field.
+    (nt, 2, 2, dim P_{k-1}) for a 2x2 matrix field, which projects componentwise.
     """
     if k < 1:
         raise ValueError("scheme order k must be >= 1")
     return _project(f, m, _cell_setup(m, k), cell_basis_dim(k - 1))
-
-
-project_cell_matrix = project_cell_scalar  # a matrix field projects componentwise
 
 
 def project_edge(f, m: Mesh, k: int) -> np.ndarray:

@@ -8,8 +8,10 @@ x = g A^-1 B x, so x_r fixes it and solves A_c x_r = g B_rr x_r, with A_c
 the Schur complement of A onto r, whose inverse is (A^-1)_rr.  The solver
 works on that pencil, so B's kernel never enters it.
 
-A is factored once per call, then (Ericsson and Ruhe, Math. Comp. 35, 1980;
-Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
+A pencil that a mesh reflection maps onto itself splits into blocks P^T (A, B) P
+whose pairs, lifted by P, are the pencil's.  Each block, one at a time, is
+factored once, then (Ericsson and Ruhe, Math. Comp. 35, 1980; Nour-Omid,
+Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
 
 1. Krylov phase: ARPACK in shift-invert mode (sigma = 0) on vectors of
    length |r| in the B_rr inner product.  Its operator (A^-1)_rr is one
@@ -22,15 +24,15 @@ Nour-Omid, Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
    Krylov subspace and returns full-length B-orthonormal vectors.  The
    right-hand side block and Y are dropped as soon as their successor
    exists, so the finish holds one n-by-(m + 1) block at a time.
-3. Check: the solver decides convergence.  A residual above its bound (see
-   RESIDUAL_TOL) fails the call, so every returned pair is converged.
+3. Check: the solver decides convergence on the whole pencil.  A residual
+   above its bound (see RESIDUAL_TOL) fails the call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +41,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NotPositiveDefiniteError, SolverFailure
 
-__all__ = ["SolveReport", "SpdFactor", "factorize_spd", "smallest_generalized_eigs"]
+__all__ = ["SolveReport", "SpdFactor", "factorize_spd", "restrict", "smallest_generalized_eigs"]
 
 # forming A x in floating point errs by up to about (nonzeros per row) * eps * |A| |x|
 ROUNDING = 100 * np.finfo(float).eps
@@ -62,13 +64,14 @@ _trim_heap = _heap_trimmer(ctypes.CDLL(None) if os.name == "posix" else None)
 
 @dataclass
 class SolveReport:
-    """iterations: solves with the factor of A counted as vectors, i.e. the
-    Krylov steps plus the width of the finishing block solve; residuals:
-    ||A x - g B x|| / ||A x|| per pair, on the full A and B.  A returned
-    report is converged; a failure's report travels on its SolverFailure."""
+    """iterations: solves with the factors counted as vectors, i.e. the Krylov
+    steps plus the width of the finishing block solve, and fill, SuperLU's lu.nnz,
+    both summed over the blocks; residuals: ||A x - g B x|| / ||A x|| per pair,
+    on the full A and B.  A failure's report travels on its SolverFailure."""
 
     iterations: int
     residuals: np.ndarray
+    fill: int
 
     @property
     def residual(self) -> float:
@@ -130,14 +133,12 @@ def factorize_spd(A) -> SpdFactor:
     """Factorize a symmetric positive definite matrix, rejecting any other.
 
     Without diagonal pivoting U has a positive diagonal exactly when A is SPD;
-    a pivot that is inf or nan is rejected too.
-
-    The pivots are read from U, and the read stays although it costs memory:
-    scipy's SuperLU exposes only L, U, nnz, perm_c, perm_r, shape and solve,
-    so U is the one view of the pivots.  Reading L or U converts both factors
-    to CSC copies that stay cached for the factor's lifetime and set the source
-    solve's peak (about 773 MB at WG k=1 n=128, with SuperLU's workspace
-    trimmed).  The eigensolver therefore uses SpdFactor directly.
+    a pivot that is inf or nan is rejected too.  The pivots are read from U,
+    scipy's one view of them (SuperLU exposes only L, U, nnz, perm_c, perm_r,
+    shape and solve), which converts both factors to CSC copies cached for the
+    factor's lifetime.  That read sets the source solve's peak: about 410 MB at
+    WG k=1 n=128, which factors the even half only (773 MB for the whole
+    pencil).  The eigensolver therefore uses SpdFactor directly.
     """
     F = SpdFactor(A)
     d = F._lu.U.diagonal()
@@ -146,7 +147,12 @@ def factorize_spd(A) -> SpdFactor:
     return F
 
 
-def smallest_generalized_eigs(A, B, m: int, seed=0):
+def restrict(M, P):
+    """P^T M P, M's block on the basis P; M itself for P None, the one block."""
+    return M if P is None else (P.T @ M @ P).tocsr()
+
+
+def smallest_generalized_eigs(A, B, m: int, seed=0, bases=(None,)):
     """m smallest finite eigenpairs of A x = g B x.
 
     Parameters
@@ -155,6 +161,8 @@ def smallest_generalized_eigs(A, B, m: int, seed=0):
     B : positive semidefinite matrix of the same size.
     m : number of eigenpairs.
     seed : start-vector seed (results are deterministic per seed).
+    bases : the blocks' bases P, None for the whole pencil.  Each block gives its
+        min(m, |support of its B|) smallest pairs; the m smallest of all are kept.
 
     Returns
     -------
@@ -169,30 +177,52 @@ def smallest_generalized_eigs(A, B, m: int, seed=0):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = A.shape[0]
-    applies = 0
     # taken before A is factored, so the copy abs(A) never adds to the peak memory
     anorm = abs(A).sum(axis=0).max()
     # B's support: a PSD matrix with a zero diagonal entry is zero on that row
     r = np.flatnonzero(B.diagonal() > 0)
+    report = SolveReport(iterations=0, residuals=np.array([np.inf]), fill=0)
 
     def failure(message, residuals=(np.inf,)):
-        return SolverFailure(message, SolveReport(applies, np.array(residuals)))
+        return SolverFailure(message, replace(report, residuals=np.array(residuals)))
 
     if m > len(r):  # B_rr is SPD: exactly |r| finite eigenvalues
         raise failure(f"only {len(r)} finite eigenvalues available")
+    B = sp.csr_matrix(B)
+    blocks = [_block_pairs(A, B, P, m, seed, report, failure) for P in bases]
+    keep = np.argsort(vals := np.concatenate([g for g, _ in blocks]), kind="stable")[:m]
+    vals, V = vals[keep], np.hstack([V for _, V in blocks])[:, keep]
+
+    for j in range(m):
+        lead = np.abs(V[r, j])
+        if V[r[np.argmax(lead >= (1.0 - 1e-8) * lead.max())], j] < 0:
+            V[:, j] *= -1.0
+
+    Ax = A @ V
+    ax = np.linalg.norm(Ax, axis=0)
+    res = np.linalg.norm(Ax - (B @ V) * vals, axis=0) / ax
+    floor = ROUNDING * anorm * np.linalg.norm(V, axis=0) / ax
+    if not np.all(res <= np.minimum(np.maximum(RESIDUAL_TOL, floor), RESIDUAL_CAP)):
+        raise failure(f"eigenpairs not converged: worst residual {res.max():.3e}", res)
+    return vals, V, replace(report, residuals=res)
+
+
+def _block_pairs(A, B, P, m, seed, report, failure):
+    """Steps 1 and 2 on the block of P: its min(m, |r|) smallest pairs, lifted by P."""
+    A, B = restrict(A, P), restrict(B, P)
+    n, r = A.shape[0], np.flatnonzero(B.diagonal() > 0)
+    m = min(m, len(r))
     try:
         factor = SpdFactor(A)
     except NotPositiveDefiniteError as exc:
         raise failure(str(exc)) from exc
-    B = sp.csr_matrix(B)
+    report.fill += factor._lu.nnz
     Brr = B[r][:, r]
     pad = np.zeros(n)
 
     def apply_inverse(x):
         # (A^-1)_rr x: one bare solve on x padded with zeros outside r
-        nonlocal applies
-        applies += 1
+        report.iterations += 1
         pad[r] = x
         return factor.solve(pad, refine=False)[r]
 
@@ -212,25 +242,11 @@ def smallest_generalized_eigs(A, B, m: int, seed=0):
     rhs[r] = Brr @ X
     Y = factor.solve(rhs)
     del rhs
-    applies += Y.shape[1]
+    report.iterations += Y.shape[1]
     try:
         vals, W = scipy.linalg.eigh(Y.T @ (A @ Y), Y.T @ (B @ Y))
     except scipy.linalg.LinAlgError as exc:
         raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
-    vals, V = vals[:m], Y @ W[:, :m]
-    del Y
-    if np.any(vals <= 0):
+    if np.any(vals[:m] <= 0):
         raise failure("nonpositive Rayleigh quotient; check matrix PSD-ness")
-
-    for j in range(m):
-        lead = np.abs(V[r, j])
-        if V[r[np.argmax(lead >= (1.0 - 1e-8) * lead.max())], j] < 0:
-            V[:, j] *= -1.0
-
-    Ax = A @ V
-    ax = np.linalg.norm(Ax, axis=0)
-    res = np.linalg.norm(Ax - (B @ V) * vals, axis=0) / ax
-    floor = ROUNDING * anorm * np.linalg.norm(V, axis=0) / ax
-    if not np.all(res <= np.minimum(np.maximum(RESIDUAL_TOL, floor), RESIDUAL_CAP)):
-        raise failure(f"eigenpairs not converged: worst residual {res.max():.3e}", res)
-    return vals, V, SolveReport(iterations=applies, residuals=res)
+    return vals[:m], Y @ W[:, :m] if P is None else P @ (Y @ W[:, :m])

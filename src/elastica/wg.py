@@ -25,7 +25,7 @@ from scipy.sparse import csgraph
 
 from . import spectra
 from ._quadmap import edge_quadrature
-from .mesh import Mesh
+from .mesh import Mesh, reflection
 from .polyquad import cell_basis_dim, edge_basis
 from .project import _cell_moments, _cell_setup, _drop_noise
 
@@ -113,6 +113,26 @@ class _EdgeLayout:
                                np.repeat(~self.mesh.dirichlet, 2 * self.nke)])
         return np.where(free, np.cumsum(free) - 1, -1)
 
+    def _signed_map(self, maps):
+        """mesh.reflection's maps as a signed dof permutation (image, sign): (e, c, t^j)
+        goes to (Re, 1 - c, t^j), times (-1)^j where R reverses e (t changes sign)."""
+        ends = maps[0][self.mesh.edges]
+        sign = np.where((ends[:, 0] > ends[:, 1])[:, None], (-1.0) ** np.arange(self.nke), 1.0)
+        return self.edge_dofs(maps[1])[:, ::-1].ravel(), np.repeat(sign, 2, axis=0).ravel()
+
+    def orbit_bases(self, free) -> tuple:
+        """Even and odd bases (P+, P-) of the pencil rows free under mesh.reflection,
+        or (None,) without one.  With S e_p = s_p e_q on the rows, P+- has a column
+        e_p +- s_p e_q per orbit {p < q}, in row order (x and y swap: no row is
+        fixed).  No scale moves the eigenpairs or solutions; +-1 keeps P^T A P exact."""
+        if (maps := reflection(self.mesh)) is None:
+            return (None,)
+        image, sign = self._signed_map(maps)
+        row = np.full(self.num_dofs, -1)
+        row[free] = np.arange(n := len(free))
+        S = sp.csr_matrix((sign[free], (q := row[image[free]], np.arange(n))), shape=(n, n))
+        return tuple(sp.csr_matrix((sp.identity(n) + t * S)[:, np.arange(n) < q]) for t in (1, -1))
+
 
 class WgSpace(_EdgeLayout):
     """Dof layout of the order-k WG space on a mesh.
@@ -136,6 +156,15 @@ class WgSpace(_EdgeLayout):
     @property
     def num_interior_dofs(self) -> int:
         return self.mesh.num_triangles * 2 * self.nk
+
+    def _signed_map(self, maps):
+        """The edge dofs' map after the cell dofs': (T, c, xh^a yh^b) goes to (RT, 1 - c,
+        xh^b yh^a), so basis function i of degree d to d (d + 2) - i."""
+        image, sign = super()._signed_map(maps)
+        d = np.repeat(np.arange(self.order + 1), np.arange(1, self.order + 2))
+        swap = d * (d + 2) - np.arange(self.nk)
+        cell = (2 * maps[2][:, None, None] + [[1], [0]]) * self.nk + swap
+        return np.concatenate([cell.ravel(), image]), np.concatenate([np.ones(cell.size), sign])
 
     def local_dofs(self) -> np.ndarray:
         """Global dof of each local scalar dof, (nt, 2, ns): [cell | edge0 | edge1 | edge2]."""
@@ -182,11 +211,13 @@ class WgFunction(_Coefficients):
 
 @dataclass
 class AssembledSystem:
-    """Stiffness/mass pencil on the free dofs; pencil row i is space dof free[i]."""
+    """Stiffness/mass pencil on the free dofs, pencil row i space dof free[i], and the
+    bases P of its blocks P^T (A, B) P (see orbit_bases)."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     free: np.ndarray
+    bases: tuple = (None,)
 
 
 @dataclass
@@ -335,7 +366,8 @@ def assemble_forms(
     # one P_k mass block per element and component, summed straight into that order
     B = scatter(p["Mphi"], gidx[:, :, :nk].reshape(2 * nt, nk), np.where(rows >= 0, new[rows], -1),
                 np.flatnonzero((p["Mphi"] != 0).any(axis=0)), np.repeat(cls, 2))
-    return AssembledSystem(A=A, B=B, free=np.flatnonzero(rows >= 0)[perm])
+    free = np.flatnonzero(rows >= 0)[perm]
+    return AssembledSystem(A=A, B=B, free=free, bases=space.orbit_bases(free))
 
 
 def scatter(blocks: np.ndarray, idx: np.ndarray, rows: np.ndarray, pos=None,
@@ -382,21 +414,30 @@ def solve_eigen(sys: AssembledSystem, m: int, seed: int = 0) -> EigenResult:
     positive: WG vectors their largest interior coefficient, CR vectors their
     largest coefficient.  Unconverged pairs raise SolverFailure like any other failure.
     """
-    vals, V, report = spectra.smallest_generalized_eigs(sys.A, sys.B, m, seed=seed)
+    vals, V, report = spectra.smallest_generalized_eigs(sys.A, sys.B, m, seed, sys.bases)
     return EigenResult(eigenvalues=vals, vectors=V, report=report)
 
 
 def solve_source(
     space: WgSpace, params: ElasticParams, stab: StabilizationConfig, f
 ) -> WgFunction:
-    """Solve the source problem a_w(u_h, v) = (f, v_0) on the free dofs."""
+    """Solve a_w(u_h, v) = (f, v_0) on the free dofs as the sum of P y, P^T A P y = P^T b,
+    over the blocks factored one at a time, skipping a load below _drop_noise's cut."""
     sys = assemble_forms(space, params, stab)
-    A, free = sys.A, sys.free
+    A, free, bases = sys.A, sys.free, sys.bases
     del sys  # the factor sets the level's peak; it does not need B
     # the load sits on the interior dofs, all free; x stays zero on the Dirichlet ones
     x = np.zeros(space.num_dofs)
     x[: space.num_interior_dofs] = _cell_moments(f, space.mesh, space.pack()).reshape(-1)
-    x[free] = spectra.factorize_spd(A).solve(x[free])
+    b, u, cut = x[free], np.zeros(len(free)), 64 * np.finfo(float).eps * np.abs(x).max()
+    blocks = [(spectra.restrict(A, P), P, bh) for P in bases
+              if np.abs(bh := b if P is None else P.T @ b).max() >= cut]
+    del A  # the factors need only their blocks
+    while blocks:
+        Ah, P, bh = blocks.pop(0)
+        y = spectra.factorize_spd(Ah).solve(bh)
+        u += y if P is None else P @ y
+    x[free] = u
     return WgFunction(space=space, coeffs=x)
 
 

@@ -30,7 +30,6 @@ from elastica import (
 from elastica.lab import check_lower_bounds, solve_level
 from elastica.cr import jump_values
 from elastica.project import (
-    project_cell_matrix,
     project_cell_scalar,
     project_global,
 )
@@ -191,13 +190,13 @@ def test_criterion_7_property_suites():
             v = project_global(field, space)
             assert (
                 np.abs(
-                    weak_gradient(v) - project_cell_matrix(field.gradient(), m, k)
+                    weak_gradient(v) - project_cell_scalar(field.gradient(), m, k)
                 ).max()
                 <= 1e-11
             )
             assert (
                 np.abs(
-                    weak_strain(v) - project_cell_matrix(field.strain(), m, k)
+                    weak_strain(v) - project_cell_scalar(field.strain(), m, k)
                 ).max()
                 <= 1e-11
             )

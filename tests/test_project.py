@@ -5,7 +5,6 @@ from elastica import WgSpace, refine_uniform
 from elastica.polyquad import CellBasis, edge_basis
 from elastica._quadmap import cell_quadrature, edge_quadrature
 from elastica.project import (
-    project_cell_matrix,
     project_cell_scalar,
     project_edge,
     project_global,
@@ -142,7 +141,7 @@ def test_matrix_projection_of_polynomial_gradient():
     m = square(2)
     for k in (1, 2):
         field = PolyField(k, np.random.default_rng(20 + k))
-        coeff = project_cell_matrix(field.gradient(), m, k)
+        coeff = project_cell_scalar(field.gradient(), m, k)
         pts, w = cell_quadrature(m, 2 * k + 4)
         basis = CellBasis(k - 1, m.centroids(), m.h_per_element)
         vals = np.einsum("tabi,tqi->tqab", coeff, basis.evaluate(pts))
@@ -153,14 +152,14 @@ def test_matrix_projection_of_polynomial_gradient():
 def test_matrix_projection_idempotent():
     m = square(2)
     field = PolyField(3, np.random.default_rng(3))
-    c1 = project_cell_matrix(field.gradient(), m, 2)
+    c1 = project_cell_scalar(field.gradient(), m, 2)
     basis = CellBasis(1, m.centroids(), m.h_per_element)
 
     def as_field(x, y):
         pts = np.stack([x, y], axis=-1)
         return np.einsum("tabi,tqi->tqab", c1, basis.evaluate(pts))
 
-    c2 = project_cell_matrix(as_field, m, 2)
+    c2 = project_cell_scalar(as_field, m, 2)
     assert np.abs(c1 - c2).max() <= 1e-13
 
 
@@ -195,4 +194,4 @@ def test_invalid_order_rejected():
     with pytest.raises(ValueError):
         project_cell_scalar(lambda x, y: x, m, 0)
     with pytest.raises(ValueError):
-        project_cell_matrix(lambda x, y: np.zeros(x.shape + (2, 2)), m, 0)
+        project_cell_scalar(lambda x, y: np.zeros(x.shape + (2, 2)), m, 0)

@@ -24,7 +24,6 @@ from elastica._quadmap import cell_quadrature, edge_quadrature
 from elastica.mesh import _build_topology
 from elastica.polyquad import CellBasis, edge_basis
 from elastica.project import (
-    project_cell_matrix,
     project_cell_scalar,
     project_global,
 )
@@ -231,7 +230,7 @@ def test_weak_gradient_quadratic_matches_projection():
     field.C[1, 1, 1] = 1.0
     v = project_global(field, space)
     g = weak_gradient(v)
-    want = project_cell_matrix(field.gradient(), m, 2)
+    want = project_cell_scalar(field.gradient(), m, 2)
     assert np.abs(g - want).max() <= 1e-11
 
 
@@ -246,9 +245,9 @@ def test_commutativity_on_random_polynomials(k, count):
         field = PolyField(k + 1, rng)
         v = project_global(field, space)
         g = weak_gradient(v)
-        assert np.abs(g - project_cell_matrix(field.gradient(), m, k)).max() <= 1e-11
+        assert np.abs(g - project_cell_scalar(field.gradient(), m, k)).max() <= 1e-11
         e = weak_strain(v)
-        assert np.abs(e - project_cell_matrix(field.strain(), m, k)).max() <= 1e-11
+        assert np.abs(e - project_cell_scalar(field.strain(), m, k)).max() <= 1e-11
         d = weak_divergence(v)
         assert np.abs(d - project_cell_scalar(field.divergence(), m, k)).max() <= 1e-11
 
@@ -320,7 +319,7 @@ def test_jittered_mesh_has_a_class_per_triangle_and_commutes(k):
     for _ in range(10):
         field = PolyField(k + 1, rng)
         v = project_global(field, space)
-        g = project_cell_matrix(field.gradient(), m, k)
+        g = project_cell_scalar(field.gradient(), m, k)
         assert np.abs(weak_gradient(v) - g).max() <= 1e-11
         d = project_cell_scalar(field.divergence(), m, k)
         assert np.abs(weak_divergence(v) - d).max() <= 1e-11
