@@ -12,9 +12,9 @@ distinct ratios and an --out path that cannot be written (nothing is run).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from dataclasses import replace
 
 from . import lab
 
@@ -22,55 +22,16 @@ from . import lab
 def _parse_bool(text: str) -> bool:
     value = text.lower()
     if value not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected a boolean, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
     return value in ("1", "true", "yes")
 
 
-def _one_of(*names):
-    def convert(text: str) -> str:
-        if text not in names:
-            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
-        return text
-
-    return convert
-
-
 def _numbers(kind):
-    return lambda text: tuple(kind(tok) for tok in text.replace(" ", "").split(","))
+    def convert(text: str) -> tuple:
+        return tuple(kind(tok) for tok in text.replace(" ", "").split(","))
 
-
-# run option -> (converter of its text from a flag or the config file, --help)
-_KEYS = {
-    "experiment": (_one_of(*sorted(lab.EXPERIMENTS)), ", ".join(sorted(lab.EXPERIMENTS))),
-    "method": (_one_of("wg", "cr"), "wg or cr"),
-    "order": (int, "WG polynomial order k"),
-    "nu": (float, "Poisson ratio"),
-    "E": (float, "Young's modulus"),
-    "delta": (float, "stabilization exponent"),
-    "levels": (_numbers(int), "comma-separated list of n (h=1/n)"),
-    "eigs": (int, "number of eigenpairs"),
-    "format": (_one_of("csv", "md"), "csv or md"),
-    "out": (str, "output file path"),
-    "nus": (_numbers(float), "comma-separated Poisson ratios; one table each at --out -nu<ratio>"),
-    "check_lower": (_parse_bool, "fail (exit 3) unless the gamma ladder is monotone "
-                                 "and below its Richardson limit"),
-}
-
-
-def _load_config_file(path) -> dict:
-    """key = value lines of a config file, values as text."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            out[key] = value.strip()
-    return out
+    convert.__name__ = f"comma-separated {kind.__name__}"  # argparse's "invalid <name> value"
+    return convert
 
 
 class _RunParser(argparse.ArgumentParser):
@@ -79,66 +40,72 @@ class _RunParser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse the --config file's lines as flags ahead of args, so explicit flags win."""
+        parsed, extras = super().parse_known_args(args, namespace)
+        if parsed.config is None:
+            return parsed, extras
+        return super().parse_known_args(self._load_config_file(parsed.config) + args, namespace)
+
+    def _load_config_file(self, path) -> list:
+        """One --key=value token per key = value line of a config file."""
+        tokens = []
+        with open(path) as fh:
+            for line in map(str.strip, fh):
+                if not line or line.startswith("#"):
+                    continue
+                key, _, value = map(str.strip, line.partition("="))
+                flag = "--" + key.replace("_", "-")
+                action = self._option_string_actions.get(flag)
+                if action is None or action.dest in ("help", "config"):
+                    raise ValueError(f"unknown config key {key!r}")
+                tokens.append(f"{flag}={value}")
+        return tokens
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elastica")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_RunParser)
-    run = sub.add_parser("run", help="run a benchmark experiment")
-    for key, (convert, text) in _KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        if convert is _parse_bool:  # a bare flag switches it on
-            run.add_argument(flag, dest=key, action="store_const", const="true", help=text)
-        else:
-            run.add_argument(flag, dest=key, help=text)
-    run.add_argument("--config", help="key=value config file")
+    # an option left unset is not in the namespace: ExperimentConfig holds its default
+    run = sub.add_parser("run", help="run a benchmark experiment",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--experiment", choices=sorted(lab.EXPERIMENTS), default="square")
+    run.add_argument("--method", choices=("wg", "cr"))
+    run.add_argument("--order", type=int, help="WG polynomial order k")
+    run.add_argument("--nu", type=float, help="Poisson ratio")
+    run.add_argument("--E", type=float, help="Young's modulus")
+    run.add_argument("--delta", type=float, help="stabilization exponent")
+    run.add_argument("--levels", type=_numbers(int), help="comma-separated list of n (h=1/n)")
+    run.add_argument("--eigs", dest="num_eigs", type=int, help="number of eigenpairs")
+    run.add_argument("--format", choices=("csv", "md"), default="csv")
+    run.add_argument("--out", default="table.csv", help="output file path")
+    run.add_argument("--nus", type=_numbers(float), default=(),
+                     help="comma-separated Poisson ratios; one table each at --out -nu<ratio>")
+    run.add_argument("--check-lower", type=_parse_bool, nargs="?", const=True, default=False,
+                     help="fail (exit 3) unless the gamma ladder is monotone "
+                          "and below its Richardson limit")
+    run.add_argument("--config", default=None, help="key=value config file")
     return parser
 
 
-# defaults of the run options outside ExperimentConfig, which holds the rest
-_DEFAULTS = {
-    "experiment": "square",
-    "format": "csv",
-    "out": "table.csv",
-    "check_lower": False,
-    "nus": (),
-}
-# keys that set the ExperimentConfig field of the same name; "eigs" sets num_eigs
-_FIELDS = {key: key for key in ("method", "order", "nu", "E", "delta", "levels")}
-_FIELDS["eigs"] = "num_eigs"
-
-
 def _configure(args):
-    """Merge defaults, the config file and flags; raise on any invalid value."""
-    raw = _load_config_file(args.config) if args.config else {}
-    raw.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key) is not None)
-    merged = dict(_DEFAULTS)
-    for key, value in raw.items():
-        try:
-            merged[key] = _KEYS[key][0](value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    domain, boundary = lab.EXPERIMENTS[merged["experiment"]]
+    """The experiment and the output paths of the parsed options; raise on any invalid value."""
+    domain, boundary = lab.EXPERIMENTS[args.experiment]
+    fields = {f.name for f in dataclasses.fields(lab.ExperimentConfig)}
     cfg = lab.ExperimentConfig(
-        domain=domain,
-        boundary=boundary,
-        **{field: merged[key] for key, field in _FIELDS.items() if key in merged},
+        domain=domain, boundary=boundary, **{k: v for k, v in vars(args).items() if k in fields}
     )
-    nus = merged["nus"]
-    if len(set(nus)) == 1:
-        raise ValueError("locking sweep needs at least two distinct Poisson ratios")
-    for nu in nus:
-        replace(cfg, nu=nu)  # checks each swept Poisson ratio before any solve
-    out = merged["out"]
-    if not out:
+    sweep = lab.sweep_configs(cfg, args.nus) if args.nus else {}
+    if not args.out:
         raise ValueError("out: the path is empty")
-    root, ext = os.path.splitext(out)
-    paths = [f"{root}-nu{nu}{ext}" for nu in dict.fromkeys(nus)] or [out]
+    root, ext = os.path.splitext(args.out)
+    paths = [f"{root}-nu{nu}{ext}" for nu in sweep] or [args.out]
     for path in paths:
         if os.path.isdir(path):
             raise ValueError(f"out: {path!r} is a directory")
-    if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
-        raise ValueError(f"out: the directory of {out!r} is missing or not writable")
-    return merged, cfg, nus, paths
+    if not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK):
+        raise ValueError(f"out: the directory of {args.out!r} is missing or not writable")
+    return cfg, paths
 
 
 def main(argv=None) -> int:
@@ -146,25 +113,23 @@ def main(argv=None) -> int:
         args, unknown = build_parser().parse_known_args(argv)
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-        merged, cfg, nus, paths = _configure(args)
+        cfg, paths = _configure(args)
     except (OSError, ValueError) as exc:
         print(f"elastica: invalid configuration: {exc}", file=sys.stderr)
         return 4
 
-    if nus:
-        sweep = lab.locking_sweep(cfg, nus)
+    if args.nus:
+        sweep = lab.locking_sweep(cfg, args.nus)
         # message tag -> table, one per distinct nu, in the order of paths
         tables = {f" (nu={nu})": table for nu, table in sweep["tables"].items()}
-        dev = sweep["max_rel_deviation"]
         print("max relative eigenfrequency deviation across nu values:")
-        for j in range(dev.shape[0]):
-            row = "  ".join(f"{d:.3e}" for d in dev[j])
-            print(f"  omega_{j + 1}: {row}")
+        for j, row in enumerate(sweep["max_rel_deviation"], 1):
+            print(f"  omega_{j}: " + "  ".join(f"{d:.3e}" for d in row))
     else:
         tables = {"": lab.run_experiment(cfg)}
 
     for path, table in zip(paths, tables.values()):
-        lab.emit(table, merged["format"], path)
+        lab.emit(table, args.format, path)
         print(f"wrote {path}")
     failed = [
         f"solver failure at level {level}{tag}: {msg}"
@@ -174,7 +139,7 @@ def main(argv=None) -> int:
     if failed:
         print("\n".join(failed), file=sys.stderr)
         return 2
-    if merged["check_lower"]:
+    if args.check_lower:
         reasons = {tag: lab.lower_bound_violation(table) for tag, table in tables.items()}
         failed = [f"lower-bound check failed{tag}: {why}" for tag, why in reasons.items() if why]
         if failed:

@@ -40,6 +40,7 @@ __all__ = [
     "richardson_limit",
     "run_experiment",
     "locking_sweep",
+    "sweep_configs",
     "check_lower_bounds",
     "lower_bound_violation",
     "emit",
@@ -181,17 +182,23 @@ def run_experiment(cfg: ExperimentConfig) -> RateTable:
     return RateTable(config=cfg, gammas=gammas, failures=failures)
 
 
+def sweep_configs(cfg: ExperimentConfig, nus) -> dict:
+    """cfg at each distinct nu of nus; ValueError for fewer than two or an invalid one."""
+    distinct = dict.fromkeys(nus)
+    if len(distinct) < 2:
+        raise ValueError("locking sweep needs at least two distinct Poisson ratios")
+    return {nu: replace(cfg, nu=nu) for nu in distinct}
+
+
 def locking_sweep(cfg: ExperimentConfig, nus) -> dict:
     """Run the experiment per Poisson ratio and report eigenfrequency drift.
 
-    Each distinct nu is solved once; at least two are needed (ValueError).
+    Each distinct nu is solved once, after `sweep_configs` has checked them all.
     Returns {"nus": ..., "tables": {nu: RateTable}, "max_rel_deviation":
     (num_eigs, nlevels) array of the spread across nu values}.
     """
     nus = list(nus)
-    if len(set(nus)) < 2:
-        raise ValueError("locking sweep needs at least two distinct Poisson ratios")
-    tables = {nu: run_experiment(replace(cfg, nu=nu)) for nu in dict.fromkeys(nus)}
+    tables = {nu: run_experiment(c) for nu, c in sweep_configs(cfg, nus).items()}
     stack = np.stack([tables[nu].omegas for nu in nus])  # (nnu, m, nlev)
     dev = (stack.max(axis=0) - stack.min(axis=0)) / stack.min(axis=0)
     return {"nus": nus, "tables": tables, "max_rel_deviation": dev}

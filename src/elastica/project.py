@@ -37,6 +37,8 @@ __all__ = [
     "project_global",
 ]
 
+NOISE_CUT = 64 * np.finfo(float).eps  # entries below this share of their block's largest are noise
+
 
 def _solve_gram(G, mom):
     """Coefficients c, shape (n, ..., dim), of G c = mom per entity and component."""
@@ -66,8 +68,8 @@ def _classes(m: Mesh):
 
 
 def _drop_noise(X: np.ndarray) -> np.ndarray:
-    """X without its rounding noise: entries below 64 eps of their block's largest."""
-    X[np.abs(X) < 64 * np.finfo(float).eps * np.abs(X).max(axis=(-2, -1), keepdims=True)] = 0.0
+    """X without its rounding noise: entries below NOISE_CUT of their block's largest."""
+    X[np.abs(X) < NOISE_CUT * np.abs(X).max(axis=(-2, -1), keepdims=True)] = 0.0
     return X
 
 

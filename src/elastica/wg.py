@@ -27,7 +27,7 @@ from . import spectra
 from ._quadmap import edge_quadrature
 from .mesh import Mesh, reflection
 from .polyquad import cell_basis_dim, edge_basis
-from .project import _cell_moments, _cell_setup, _drop_noise
+from .project import NOISE_CUT, _cell_moments, _cell_setup, _drop_noise
 
 __all__ = [
     "ElasticParams",
@@ -422,14 +422,14 @@ def solve_source(
     space: WgSpace, params: ElasticParams, stab: StabilizationConfig, f
 ) -> WgFunction:
     """Solve a_w(u_h, v) = (f, v_0) on the free dofs as the sum of P y, P^T A P y = P^T b,
-    over the blocks factored one at a time, skipping a load below _drop_noise's cut."""
+    over the blocks factored one at a time, skipping a load below NOISE_CUT of the largest."""
     sys = assemble_forms(space, params, stab)
     A, free, bases = sys.A, sys.free, sys.bases
     del sys  # the factor sets the level's peak; it does not need B
     # the load sits on the interior dofs, all free; x stays zero on the Dirichlet ones
     x = np.zeros(space.num_dofs)
     x[: space.num_interior_dofs] = _cell_moments(f, space.mesh, space.pack()).reshape(-1)
-    b, u, cut = x[free], np.zeros(len(free)), 64 * np.finfo(float).eps * np.abs(x).max()
+    b, u, cut = x[free], np.zeros(len(free)), NOISE_CUT * np.abs(x).max()
     blocks = [(spectra.restrict(A, P), P, bh) for P in bases
               if np.abs(bh := b if P is None else P.T @ b).max() >= cut]
     del A  # the factors need only their blocks

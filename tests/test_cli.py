@@ -324,3 +324,59 @@ def test_tiny_modulus_residuals_fail_the_run(tmp_path, capsys):
     err = capsys.readouterr().err
     for n in (2, 4):
         assert f"solver failure at level {n}: eigenpairs not converged: worst residual" in err
+
+
+@pytest.mark.parametrize(
+    "cfg_text, flags, code",
+    [
+        ("check-lower = yes\n", [], 3),
+        ("check_lower = no\n", ["--check-lower"], 3),
+        ("check_lower = no\n", [], 0),
+        ("check-lower = yes\n", ["--check-lower=no"], 0),
+    ],
+    ids=["dashed-key", "bare-flag-wins", "file-off", "flag-value-wins"],
+)
+def test_config_file_check_lower(tmp_path, monkeypatch, cfg_text, flags, code):
+    # gamma_1 drops from n=2 to n=4: the run exits 3 exactly when the check is on
+    table = RateTable(config=ExperimentConfig(levels=(2, 4), num_eigs=1),
+                      gammas=np.array([[2.0, 1.0]]))
+    monkeypatch.setattr(cli.lab, "run_experiment", lambda c: table)
+    (tmp_path / "run.cfg").write_text(cfg_text)
+    args = ["--config", str(tmp_path / "run.cfg"), "--levels", "2,4"]
+    assert run_cli(args + flags + ["--out", str(tmp_path / "t.csv")]) == code
+
+
+def test_config_file_list_items_may_carry_spaces(tmp_path):
+    out = tmp_path / "t.csv"
+    (tmp_path / "run.cfg").write_text(f"levels = 2, 4\neigs = 1\nout = {out}\n")
+    assert run_cli(["--config", str(tmp_path / "run.cfg")]) == 0
+    assert lab.parse_csv(out)[0] == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "key, flag, value",
+    [
+        ("order", "--order", "abc"),
+        ("levels", "--levels", "2,,4"),
+        ("nus", "--nus", "0.3,,0.4"),
+        ("experiment", "--experiment", "foo"),
+        ("check_lower", "--check-lower", "ture"),
+        ("E", "--E", "x"),
+    ],
+)
+def test_bad_value_reads_alike_in_file_and_flag(tmp_path, capsys, monkeypatch, key, flag, value):
+    def never(cfg, n):
+        raise AssertionError("solve_level called for an invalid configuration")
+
+    monkeypatch.setattr(lab, "solve_level", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+    errs = []
+    for args in (["--config", "run.cfg"], [flag, value]):
+        assert run_cli(args + ["--out", "t.csv"]) == 4
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"elastica: invalid configuration: argument {flag}: ")
+    assert repr(value) in errs[0] and "<lambda>" not in errs[0]
+    assert errs[0].count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()

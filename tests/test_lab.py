@@ -100,6 +100,19 @@ def test_locking_sweep_needs_two_distinct_ratios(monkeypatch, nus):
         lab.locking_sweep(ExperimentConfig(levels=(2, 4), num_eigs=1), nus)
 
 
+def test_locking_sweep_checks_every_ratio_before_any_solve(monkeypatch):
+    def never(cfg):
+        raise AssertionError("run_experiment called before every nu was checked")
+
+    monkeypatch.setattr(lab, "run_experiment", never)
+    cfg = ExperimentConfig(levels=(2, 4), num_eigs=1)
+    with pytest.raises(ValueError, match="Poisson ratio"):
+        lab.locking_sweep(cfg, [0.3, 0.5])
+    configs = lab.sweep_configs(cfg, [0.35, 0.3, 0.35])
+    assert list(configs) == [0.35, 0.3]
+    assert [c.nu for c in configs.values()] == [0.35, 0.3]
+
+
 def test_run_experiment_small_and_deterministic():
     cfg = ExperimentConfig(levels=(2, 4), num_eigs=2)
     t1 = run_experiment(cfg)
