@@ -67,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elastica")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_RunParser)
     # an option left unset is not in the namespace: ExperimentConfig holds its default
+    # no abbreviated flags: a config-file key must be a whole option name, so a flag too
     run = sub.add_parser("run", help="run a benchmark experiment",
-                         argument_default=argparse.SUPPRESS)
+                         argument_default=argparse.SUPPRESS, allow_abbrev=False)
     run.add_argument("--experiment", choices=sorted(lab.EXPERIMENTS), default="square")
     run.add_argument("--method", choices=("wg", "cr"))
     run.add_argument("--order", type=int, help="WG polynomial order k")

@@ -250,20 +250,27 @@ def refine_uniform(m: Mesh) -> Mesh:
     return replace(refined, dirichlet=dirichlet)
 
 
-def reflection(m: Mesh):
-    """Index maps (vertices, edges, triangles) of the reflection (x, y) -> (y, x) of m onto
-    itself, or None unless it maps m's vertices (exactly), triangles and Dirichlet edges."""
-    z, zr = m.vertices @ [1, 1j], m.vertices @ [1j, 1]  # complex keys sort like (x, y)
-    order = np.argsort(z)
-    vmap = order[np.searchsorted(z[order], zr) % len(z)]
-    ends = np.sort(vmap[m.edges], axis=1)  # edge keys lo * nv + hi ascend (np.unique)
-    emap = np.searchsorted(m.edges @ [len(z), 1], ends @ [len(z), 1]) % len(ends)
-    # T's image is the triangle that the images of its first two edges share
-    a, b = m.edge_tris[emap[m.tri_edges[:, 0]]], m.edge_tris[emap[m.tri_edges[:, 1]]]
-    tmap = np.where((a[:, :1] == b).any(axis=1), a[:, 0], a[:, 1])
-    same = [(z[vmap], zr), (m.edges[emap], ends), (m.dirichlet[emap], m.dirichlet),
-            (np.sort(m.triangles[tmap], axis=1), np.sort(vmap[m.triangles], axis=1))]
-    return (vmap, emap, tmap) if all(np.array_equal(*pair) for pair in same) else None
+def reflection(m: Mesh) -> dict:
+    """Index maps {eps: (vertices, edges, triangles)} of the diagonal mirrors of m onto
+    itself: eps = 1 for (x, y) -> (y, x), eps = -1 for (x, y) -> (s - y, s - x) with
+    s = x_min + x_max.  A mirror is kept when it maps m's vertices (exactly), triangles
+    and Dirichlet edges; {} when none does."""
+    z = m.vertices @ [1, 1j]  # complex keys sort like (x, y)
+    order, s = np.argsort(z), m.vertices[:, 0].min() + m.vertices[:, 0].max()
+    found = {}
+    for eps in (1, -1):
+        zr = (1 - eps) / 2 * s * (1 + 1j) + eps * (m.vertices @ [1j, 1])
+        vmap = order[np.searchsorted(z[order], zr) % len(z)]
+        ends = np.sort(vmap[m.edges], axis=1)  # edge keys lo * nv + hi ascend (np.unique)
+        emap = np.searchsorted(m.edges @ [len(z), 1], ends @ [len(z), 1]) % len(ends)
+        # T's image is the triangle that the images of its first two edges share
+        a, b = m.edge_tris[emap[m.tri_edges[:, 0]]], m.edge_tris[emap[m.tri_edges[:, 1]]]
+        tmap = np.where((a[:, :1] == b).any(axis=1), a[:, 0], a[:, 1])
+        same = [(z[vmap], zr), (m.edges[emap], ends), (m.dirichlet[emap], m.dirichlet),
+                (np.sort(m.triangles[tmap], axis=1), np.sort(vmap[m.triangles], axis=1))]
+        if all(np.array_equal(*pair) for pair in same):
+            found[eps] = (vmap, emap, tmap)
+    return found
 
 
 def classify_boundary(m: Mesh, predicate) -> Mesh:

@@ -8,9 +8,9 @@ x = g A^-1 B x, so x_r fixes it and solves A_c x_r = g B_rr x_r, with A_c
 the Schur complement of A onto r, whose inverse is (A^-1)_rr.  The solver
 works on that pencil, so B's kernel never enters it.
 
-A pencil that a mesh reflection maps onto itself splits into blocks P^T (A, B) P
-whose pairs, lifted by P, are the pencil's.  Each block, one at a time, is
-factored once, then (Ericsson and Ruhe, Math. Comp. 35, 1980; Nour-Omid,
+A pencil that a mesh's mirrors map onto itself splits into blocks P^T (A, B) P,
+one per character of their group, whose pairs, lifted by P, are the pencil's.
+Each block, one at a time, is factored once, then (Ericsson and Ruhe, Math. Comp. 35, 1980; Nour-Omid,
 Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
 
 1. Krylov phase: ARPACK in shift-invert mode (sigma = 0) on vectors of
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,13 +66,17 @@ _trim_heap = _heap_trimmer(ctypes.CDLL(None) if os.name == "posix" else None)
 @dataclass
 class SolveReport:
     """iterations: solves with the factors counted as vectors, i.e. the Krylov
-    steps plus the width of the finishing block solve, and fill, SuperLU's lu.nnz,
-    both summed over the blocks; residuals: ||A x - g B x|| / ||A x|| per pair,
-    on the full A and B.  A failure's report travels on its SolverFailure."""
+    steps plus the width of the finishing block solve, fill, SuperLU's lu.nnz, and
+    the perf_counter seconds of the factor, the Krylov phase and the finish, all
+    summed over the blocks; residuals: ||A x - g B x|| / ||A x|| per pair, on the
+    full A and B.  A failure's report travels on its SolverFailure."""
 
     iterations: int
     residuals: np.ndarray
     fill: int
+    factor_s: float = 0.0
+    krylov_s: float = 0.0
+    finish_s: float = 0.0
 
     @property
     def residual(self) -> float:
@@ -136,9 +141,9 @@ def factorize_spd(A) -> SpdFactor:
     a pivot that is inf or nan is rejected too.  The pivots are read from U,
     scipy's one view of them (SuperLU exposes only L, U, nnz, perm_c, perm_r,
     shape and solve), which converts both factors to CSC copies cached for the
-    factor's lifetime.  That read sets the source solve's peak: about 410 MB at
-    WG k=1 n=128, which factors the even half only (773 MB for the whole
-    pencil).  The eigensolver therefore uses SpdFactor directly.
+    factor's lifetime.  That read sets the source solve's peak: about 250 MB at
+    WG k=1 n=128, which factors one quarter only (410 MB for one half, 773 MB
+    for the whole pencil).  The eigensolver therefore uses SpdFactor directly.
     """
     F = SpdFactor(A)
     d = F._lu.U.diagonal()
@@ -212,11 +217,13 @@ def _block_pairs(A, B, P, m, seed, report, failure):
     A, B = restrict(A, P), restrict(B, P)
     n, r = A.shape[0], np.flatnonzero(B.diagonal() > 0)
     m = min(m, len(r))
+    start = time.perf_counter()
     try:
         factor = SpdFactor(A)
     except NotPositiveDefiniteError as exc:
         raise failure(str(exc)) from exc
     report.fill += factor._lu.nnz
+    report.factor_s += (lap := time.perf_counter()) - start
     Brr = B[r][:, r]
     pad = np.zeros(n)
 
@@ -236,6 +243,7 @@ def _block_pairs(A, B, P, m, seed, report, failure):
             _, X = spla.eigsh(op, m + 1, M=Brr, sigma=0, OPinv=op, tol=ARPACK_TOL, v0=v0)
         except spla.ArpackError as exc:
             raise failure(f"ARPACK failed on B's support: {exc}") from exc
+    report.krylov_s += (start := time.perf_counter()) - lap
     # finish: one refined block inverse-iteration step, then Rayleigh-Ritz
     # on the exact pencil; ascending g, vectors B-orthonormal
     rhs = np.zeros((n, X.shape[1]))
@@ -249,4 +257,6 @@ def _block_pairs(A, B, P, m, seed, report, failure):
         raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
     if np.any(vals[:m] <= 0):
         raise failure("nonpositive Rayleigh quotient; check matrix PSD-ness")
-    return vals[:m], Y @ W[:, :m] if P is None else P @ (Y @ W[:, :m])
+    V = Y @ W[:, :m] if P is None else P @ (Y @ W[:, :m])
+    report.finish_s += time.perf_counter() - start
+    return vals[:m], V

@@ -16,6 +16,7 @@ unknowns; the eigensolver works on its support, the interior (see spectra).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -113,25 +114,43 @@ class _EdgeLayout:
                                np.repeat(~self.mesh.dirichlet, 2 * self.nke)])
         return np.where(free, np.cumsum(free) - 1, -1)
 
-    def _signed_map(self, maps):
-        """mesh.reflection's maps as a signed dof permutation (image, sign): (e, c, t^j)
-        goes to (Re, 1 - c, t^j), times (-1)^j where R reverses e (t changes sign)."""
+    def _signed_map(self, maps, eps):
+        """A mirror's maps (see mesh.reflection) as a signed dof permutation (image, sign):
+        (e, c, t^j) goes to (Re, 1 - c, t^j), times eps (the mirror takes the vector
+        (u, v) to eps (v, u)) and times (-1)^j where R reverses e (t changes sign)."""
         ends = maps[0][self.mesh.edges]
         sign = np.where((ends[:, 0] > ends[:, 1])[:, None], (-1.0) ** np.arange(self.nke), 1.0)
-        return self.edge_dofs(maps[1])[:, ::-1].ravel(), np.repeat(sign, 2, axis=0).ravel()
+        return self.edge_dofs(maps[1])[:, ::-1].ravel(), eps * np.repeat(sign, 2, axis=0).ravel()
 
     def orbit_bases(self, free) -> tuple:
-        """Even and odd bases (P+, P-) of the pencil rows free under mesh.reflection,
-        or (None,) without one.  With S e_p = s_p e_q on the rows, P+- has a column
-        e_p +- s_p e_q per orbit {p < q}, in row order (x and y swap: no row is
-        fixed).  No scale moves the eigenpairs or solutions; +-1 keeps P^T A P exact."""
-        if (maps := reflection(self.mesh)) is None:
+        """Bases of the pencil rows free, one per character chi of the group that the
+        mirrors of mesh.reflection generate; (None,) without a mirror.  With S_g e_p =
+        s_g(p) e_g(p), chi's column at an orbit's smallest row p is sum_g chi(g) s_g(p)
+        e_g(p), entries set to +-1, in row order.  Where the point reflection of two
+        mirrors fixes a row (a cell or edge at the centre) that sum can vanish: such
+        columns and empty blocks are dropped.  No scale moves the eigenpairs or
+        solutions; +-1 keeps P^T A P exact."""
+        if not (mirrors := reflection(self.mesh)):
             return (None,)
-        image, sign = self._signed_map(maps)
         row = np.full(self.num_dofs, -1)
         row[free] = np.arange(n := len(free))
-        S = sp.csr_matrix((sign[free], (q := row[image[free]], np.arange(n))), shape=(n, n))
-        return tuple(sp.csr_matrix((sp.identity(n) + t * S)[:, np.arange(n) < q]) for t in (1, -1))
+        group = [(np.arange(n), np.ones(n), ())]  # (image, sign, generators) per element
+        for i, (eps, maps) in enumerate(mirrors.items()):
+            image, sign = self._signed_map(maps, eps)
+            q, s = row[image[free]], sign[free]
+            group += [(q[p], t * s[p], g + (i,)) for p, t, g in group]  # S_i S_g
+        rep = np.min([p for p, _, _ in group], axis=0)  # each row's orbit by its smallest row
+        reps = np.flatnonzero(first := rep == np.arange(n))
+        bases = []
+        for chi in itertools.product((1, -1), repeat=len(mirrors)):
+            val = np.zeros(n)
+            for p, t, g in group:  # g takes the representatives to distinct rows
+                val[p[reps]] += np.prod([chi[i] for i in g]) * t[reps]
+            if (keep := val != 0).any():  # a fixed row sums 2 or 4 terms, or none
+                col = np.cumsum(keep & first) - 1  # the kept orbits, in row order
+                bases.append(sp.csr_matrix((np.sign(val[keep]), col[rep[keep]],
+                                            np.r_[0, np.cumsum(keep)]), shape=(n, col[-1] + 1)))
+        return tuple(bases)
 
 
 class WgSpace(_EdgeLayout):
@@ -157,14 +176,15 @@ class WgSpace(_EdgeLayout):
     def num_interior_dofs(self) -> int:
         return self.mesh.num_triangles * 2 * self.nk
 
-    def _signed_map(self, maps):
+    def _signed_map(self, maps, eps):
         """The edge dofs' map after the cell dofs': (T, c, xh^a yh^b) goes to (RT, 1 - c,
-        xh^b yh^a), so basis function i of degree d to d (d + 2) - i."""
-        image, sign = super()._signed_map(maps)
+        xh^b yh^a) times eps^(1 + a + b), so basis function i of degree d to d (d + 2) - i."""
+        image, sign = super()._signed_map(maps, eps)
         d = np.repeat(np.arange(self.order + 1), np.arange(1, self.order + 2))
         swap = d * (d + 2) - np.arange(self.nk)
         cell = (2 * maps[2][:, None, None] + [[1], [0]]) * self.nk + swap
-        return np.concatenate([cell.ravel(), image]), np.concatenate([np.ones(cell.size), sign])
+        cell_sign = np.broadcast_to(float(eps) ** (1 + d), cell.shape).ravel()
+        return np.concatenate([cell.ravel(), image]), np.concatenate([cell_sign, sign])
 
     def local_dofs(self) -> np.ndarray:
         """Global dof of each local scalar dof, (nt, 2, ns): [cell | edge0 | edge1 | edge2]."""

@@ -380,3 +380,22 @@ def test_bad_value_reads_alike_in_file_and_flag(tmp_path, capsys, monkeypatch, k
     assert repr(value) in errs[0] and "<lambda>" not in errs[0]
     assert errs[0].count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["--exp", "lshape"], ["--lev", "2,4"], ["--check"]],
+                         ids=["exp", "lev", "check"])
+def test_abbreviated_flags_are_unknown_like_config_keys(tmp_path, capsys, monkeypatch, args):
+    def never(cfg, n):
+        raise AssertionError("solve_level called for an abbreviated flag")
+
+    monkeypatch.setattr(lab, "solve_level", never)
+    monkeypatch.chdir(tmp_path)
+    key = args[0].removeprefix("--")
+    (tmp_path / "run.cfg").write_text(f"{key} = {args[1] if len(args) > 1 else 'yes'}\n")
+    errs = []
+    for given in (args, ["--config", "run.cfg"]):
+        assert run_cli(["--levels", "2,4", "--eigs", "1"] + given + ["--out", "t.csv"]) == 4
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == f"elastica: invalid configuration: unrecognized arguments: {' '.join(args)}\n"
+    assert errs[1] == f"elastica: invalid configuration: unknown config key {key!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]  # nothing written

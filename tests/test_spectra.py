@@ -1,4 +1,5 @@
 import sys
+import time
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from elastica import (
     WgSpace,
     assemble_cr,
     assemble_forms,
+    solve_eigen,
     spectra,
 )
 from elastica.errors import NotPositiveDefiniteError, SolverFailure
@@ -612,3 +614,14 @@ def test_converged_bound_follows_the_rounding_floor():
     P = sp.csr_matrix((np.ones(n), (np.arange(n), pairs)), shape=(n, n // 2))
     limit = np.sort(scipy.linalg.eigvalsh((P.T @ K @ P).toarray()))[:3] / 2
     assert np.all(np.abs(vals - limit) <= 1e-6 * limit)
+
+
+@pytest.mark.parametrize("mesh", [square(8), square(8, "bottom")], ids=["quarters", "one-block"])
+def test_stage_seconds_fit_in_the_solve(mesh):
+    sys_ = assemble_forms(WgSpace(mesh, 1), ElasticParams(nu=0.3), StabilizationConfig())
+    start = time.perf_counter()
+    report = solve_eigen(sys_, 4).report
+    wall = time.perf_counter() - start
+    stages = (report.factor_s, report.krylov_s, report.finish_s)
+    assert all(t > 0.0 for t in stages)  # every block ran each stage
+    assert sum(stages) <= wall
