@@ -10,8 +10,9 @@ class NotPositiveDefiniteError(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """An iterative solver did not converge; carries its report."""
+    """An iterative solver did not converge; carries its report (and lab's level record)."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+        self.record = None

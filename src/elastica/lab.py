@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -25,7 +27,6 @@ from . import cr as cr_mod
 from . import wg as wg_mod
 from .errors import SolverFailure
 from .mesh import (
-    Mesh,
     bottom_dirichlet,
     build_lshape_mesh,
     build_square_mesh,
@@ -37,6 +38,7 @@ from .polyquad import MAX_TRIANGLE_DEGREE
 __all__ = [
     "ExperimentConfig",
     "RateTable",
+    "LevelRecord",
     "richardson_limit",
     "run_experiment",
     "locking_sweep",
@@ -101,6 +103,17 @@ class ExperimentConfig:
             raise ValueError("levels must be positive powers of two")
 
 
+@dataclass(frozen=True)
+class LevelRecord:
+    """A level's SolveReport (a failure's from its SolverFailure), its mesh and assembly
+    seconds, and ru_maxrss MB after each stage, a running maximum: a stage that raises it set it."""
+
+    report: Optional[wg_mod.spectra.SolveReport]
+    mesh_s: float
+    assemble_s: float
+    peak_mb: tuple
+
+
 @dataclass
 class RateTable:
     """Eigenfrequencies per level plus extrapolated eigenvalue orders."""
@@ -108,6 +121,7 @@ class RateTable:
     config: ExperimentConfig
     gammas: np.ndarray          # (num_eigs, nlevels), NaN on failed levels
     failures: dict = field(default_factory=dict)  # level -> message
+    records: dict = field(default_factory=dict)  # level -> LevelRecord
 
     @property
     def levels(self) -> tuple:
@@ -149,37 +163,52 @@ def richardson_limit(g1: float, g2: float, g3: float) -> float:
         return g3
     return g3 + d2 * d2 / denom
 
-def _build_mesh(cfg: ExperimentConfig, n: int) -> Mesh:
-    m = build_square_mesh(n) if cfg.domain == "square" else build_lshape_mesh(n)
-    spec = full_dirichlet() if cfg.boundary == "all-dirichlet" else bottom_dirichlet()
-    return classify_boundary(m, spec)
+def _peak_mb() -> float:
+    """ru_maxrss so far in MB (KB on Linux, bytes on macOS); NaN on Windows."""
+    try:
+        from resource import RUSAGE_SELF, getrusage
+    except ImportError:
+        return math.nan
+    return getrusage(RUSAGE_SELF).ru_maxrss / 2 ** (20 if sys.platform == "darwin" else 10)
 
 
 def solve_level(cfg: ExperimentConfig, n: int) -> wg_mod.EigenResult:
-    """Solve one refinement level of an experiment."""
-    mesh = _build_mesh(cfg, n)
+    """Solve one level of an experiment; the result, or its SolverFailure, has its .record."""
+    start = time.perf_counter()
+    mesh = build_square_mesh(n) if cfg.domain == "square" else build_lshape_mesh(n)
+    spec = full_dirichlet() if cfg.boundary == "all-dirichlet" else bottom_dirichlet()
+    mesh = classify_boundary(mesh, spec)
+    peak, lap = _peak_mb(), time.perf_counter()
     params = wg_mod.ElasticParams(E=cfg.E, nu=cfg.nu)
     stab = wg_mod.StabilizationConfig(delta=cfg.delta)
     if cfg.method == "wg":
-        sys = wg_mod.assemble_forms(wg_mod.WgSpace(mesh, cfg.order), params, stab)
+        pencil = wg_mod.assemble_forms(wg_mod.WgSpace(mesh, cfg.order), params, stab)
     else:
-        sys = cr_mod.assemble_cr(cr_mod.CrSpace(mesh), params, stab)
-    return wg_mod.solve_eigen(sys, cfg.num_eigs, seed=cfg.seed)
+        pencil = cr_mod.assemble_cr(cr_mod.CrSpace(mesh), params, stab)
+    rec = LevelRecord(None, lap - start, time.perf_counter() - lap, (peak, _peak_mb()))
+    try:
+        res = wg_mod.solve_eigen(pencil, cfg.num_eigs, seed=cfg.seed)
+    except SolverFailure as exc:
+        exc.record = replace(rec, report=exc.report, peak_mb=(*rec.peak_mb, _peak_mb()))
+        raise
+    return replace(res, record=replace(rec, report=res.report, peak_mb=(*rec.peak_mb, _peak_mb())))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateTable:
     """Run the whole refinement ladder; per-level failures are recorded.
 
     A level fails when its solver raises SolverFailure, unconverged
-    eigenpairs included; its column of the table is then NaN."""
+    eigenpairs included; its column of the table is then NaN, its record kept."""
     gammas = np.full((cfg.num_eigs, len(cfg.levels)), np.nan)
-    failures = {}
+    failures, records = {}, {}
     for col, n in enumerate(cfg.levels):
         try:
-            gammas[:, col] = solve_level(cfg, n).eigenvalues
+            res = solve_level(cfg, n)
+            gammas[:, col], records[n] = res.eigenvalues, res.record
+            del res  # its vectors go before the next level is solved
         except SolverFailure as exc:
-            failures[n] = str(exc)
-    return RateTable(config=cfg, gammas=gammas, failures=failures)
+            failures[n], records[n] = str(exc), exc.record
+    return RateTable(config=cfg, gammas=gammas, failures=failures, records=records)
 
 
 def sweep_configs(cfg: ExperimentConfig, nus) -> dict:

@@ -17,14 +17,17 @@ Parlett, Ericsson and Jensen, Math. Comp. 48, 1987):
    length |r| in the B_rr inner product.  Its operator (A^-1)_rr is one
    bare solve of the factor, without refinement, on a right-hand side padded
    with zeros outside r; A itself is never multiplied.  ARPACK computes
-   m + 1 Ritz vectors; if |r| <= m + 1, r's unit vectors replace them.
+   k + 1 Ritz vectors (k: see 3); if |r| <= k + 1, r's unit vectors replace them.
 2. Finish: one refined block solve Y = A^-1 pad(B_rr X) from the Ritz
-   vectors X, m + 1 columns wide, then Rayleigh-Ritz on the exact pencil
+   vectors X, k + 1 columns wide, then Rayleigh-Ritz on the exact pencil
    (Y^T A Y, Y^T B Y).  This removes the error the bare factor leaves in the
-   Krylov subspace and returns full-length B-orthonormal vectors.  The
+   Krylov subspace and returns the block's B-orthonormal vectors.  The
    right-hand side block and Y are dropped as soon as their successor
-   exists, so the finish holds one n-by-(m + 1) block at a time.
-3. Check: the solver decides convergence on the whole pencil.  A residual
+   exists, so the finish holds one block-by-(k + 1) array at a time.
+3. Merge: each of b blocks first gives its share k = min(m, ceil(m / b) + 1) of
+   the m pairs, m for one block.  One that gave k pairs, its largest below the m-th
+   smallest of all, may hold more and is solved again for m.  The m kept are lifted.
+4. Check: the solver decides convergence on the whole pencil.  A residual
    above its bound (see RESIDUAL_TOL) fails the call.
 """
 
@@ -68,8 +71,8 @@ class SolveReport:
     """iterations: solves with the factors counted as vectors, i.e. the Krylov
     steps plus the width of the finishing block solve, fill, SuperLU's lu.nnz, and
     the perf_counter seconds of the factor, the Krylov phase and the finish, all
-    summed over the blocks; residuals: ||A x - g B x|| / ||A x|| per pair, on the
-    full A and B.  A failure's report travels on its SolverFailure."""
+    summed over the blocks; pairs: each block solve's k (step 3); residuals: ||A x - g B x||
+    / ||A x|| per pair, on the full A and B.  A failure's report travels on its SolverFailure."""
 
     iterations: int
     residuals: np.ndarray
@@ -77,6 +80,7 @@ class SolveReport:
     factor_s: float = 0.0
     krylov_s: float = 0.0
     finish_s: float = 0.0
+    pairs: tuple = ()
 
     @property
     def residual(self) -> float:
@@ -167,7 +171,7 @@ def smallest_generalized_eigs(A, B, m: int, seed=0, bases=(None,)):
     m : number of eigenpairs.
     seed : start-vector seed (results are deterministic per seed).
     bases : the blocks' bases P, None for the whole pencil.  Each block gives its
-        min(m, |support of its B|) smallest pairs; the m smallest of all are kept.
+        share of the pairs (step 3 of the module docstring); the m smallest are kept.
 
     Returns
     -------
@@ -194,9 +198,17 @@ def smallest_generalized_eigs(A, B, m: int, seed=0, bases=(None,)):
     if m > len(r):  # B_rr is SPD: exactly |r| finite eigenvalues
         raise failure(f"only {len(r)} finite eigenvalues available")
     B = sp.csr_matrix(B)
-    blocks = [_block_pairs(A, B, P, m, seed, report, failure) for P in bases]
+    share = min(m, -(-m // len(bases)) + 1)  # step 3
+    blocks = [_block_pairs(A, B, P, share, seed, report, failure) for P in bases]
+    mth = np.sort(np.concatenate([g for g, _ in blocks] + [np.full(m, np.inf)]))[m - 1]
+    blocks = [(g, Y) if len(g) < share or g[-1] >= mth else  # complete, or solved again for m
+              _block_pairs(A, B, P, m, seed, report, failure) for P, (g, Y) in zip(bases, blocks)]
     keep = np.argsort(vals := np.concatenate([g for g, _ in blocks]), kind="stable")[:m]
-    vals, V = vals[keep], np.hstack([V for _, V in blocks])[:, keep]
+    ends, V = np.cumsum([0] + [len(g) for g, _ in blocks]), np.empty((A.shape[0], m))
+    for P, (_, Y), lo, hi in zip(bases, blocks, ends, ends[1:]):  # lift the kept pairs
+        j = np.flatnonzero((lo <= keep) & (keep < hi))
+        V[:, j] = Y[:, keep[j] - lo] if P is None else P @ Y[:, keep[j] - lo]
+    vals = vals[keep]
 
     for j in range(m):
         lead = np.abs(V[r, j])
@@ -213,7 +225,8 @@ def smallest_generalized_eigs(A, B, m: int, seed=0, bases=(None,)):
 
 
 def _block_pairs(A, B, P, m, seed, report, failure):
-    """Steps 1 and 2 on the block of P: its min(m, |r|) smallest pairs, lifted by P."""
+    """Steps 1 and 2 on the block of P: its min(m, |r|) smallest pairs, on its rows."""
+    report.pairs += (m,)
     A, B = restrict(A, P), restrict(B, P)
     n, r = A.shape[0], np.flatnonzero(B.diagonal() > 0)
     m = min(m, len(r))
@@ -257,6 +270,6 @@ def _block_pairs(A, B, P, m, seed, report, failure):
         raise failure(f"Rayleigh-Ritz mass Y^T B Y is not positive definite: {exc}") from exc
     if np.any(vals[:m] <= 0):
         raise failure("nonpositive Rayleigh quotient; check matrix PSD-ness")
-    V = Y @ W[:, :m] if P is None else P @ (Y @ W[:, :m])
+    V = Y @ W[:, :m]
     report.finish_s += time.perf_counter() - start
     return vals[:m], V

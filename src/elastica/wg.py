@@ -247,6 +247,7 @@ class EigenResult:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (len(free), m), on the pencil's rows
     report: spectra.SolveReport = field(repr=False)
+    record: object = field(default=None, repr=False)  # lab.solve_level's LevelRecord
 
     @property
     def frequencies(self) -> np.ndarray:

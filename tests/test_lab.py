@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -220,3 +222,33 @@ def test_emit_unknown_format(tmp_path):
     table = _fabricated(np.array([[4.0, 4.1, 4.12]]))
     with pytest.raises(ValueError):
         emit(table, "xml", tmp_path / "t.xml")
+
+
+def test_each_level_keeps_its_record():
+    cfg = ExperimentConfig(levels=(4, 8), num_eigs=2)
+    start = time.perf_counter()
+    res = lab.solve_level(cfg, 8)
+    wall = time.perf_counter() - start
+    rec = res.record
+    assert [f.name for f in dataclasses.fields(rec)] == ["report", "mesh_s", "assemble_s",
+                                                         "peak_mb"]  # no eigenvectors
+    assert rec.report is res.report and rec.report.pairs == (2, 2, 2, 2)
+    report = rec.report
+    stages = (rec.mesh_s, rec.assemble_s, report.factor_s, report.krylov_s, report.finish_s)
+    assert all(t > 0.0 for t in stages) and sum(stages) <= wall
+    # ru_maxrss is a running maximum, read after the mesh, the assembly and the solve
+    assert len(rec.peak_mb) == 3 and 0.0 < rec.peak_mb[0] <= rec.peak_mb[1] <= rec.peak_mb[2]
+
+    table = run_experiment(cfg)
+    assert list(table.records) == [4, 8]
+    assert all(isinstance(r, lab.LevelRecord) for r in table.records.values())
+
+
+def test_a_failed_level_keeps_its_record():
+    # 12 WG k=1 interior dofs at n=1, so 13 pairs fail that level before its factor
+    table = run_experiment(ExperimentConfig(levels=(1, 2), num_eigs=13))
+    assert list(table.failures) == [1]
+    rec = table.records[1]
+    assert rec.report.iterations == 0 and rec.report.pairs == ()
+    assert rec.mesh_s > 0.0 and rec.assemble_s > 0.0 and len(rec.peak_mb) == 3
+    assert table.records[2].report.iterations > 0

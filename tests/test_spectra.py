@@ -625,3 +625,73 @@ def test_stage_seconds_fit_in_the_solve(mesh):
     stages = (report.factor_s, report.krylov_s, report.finish_s)
     assert all(t > 0.0 for t in stages)  # every block ran each stage
     assert sum(stages) <= wall
+
+
+def _two_block_pencil(n=300, lift=50.0):
+    # A = [[K, L], [L, K]] maps onto itself under the swap of its halves; its even
+    # block (P = [I; I]) is 2 (K + L) = 2 A_e and its odd block 2 (K - L) = 2 A_o,
+    # with A_o = A_e + lift I, so the smallest pairs all lie in the even block
+    A_e = sp.diags([np.full(n - 1, 0.1), np.arange(1.0, n + 1), np.full(n - 1, 0.1)], [-1, 0, 1])
+    A_o = A_e + lift * sp.identity(n)
+    K, L = (A_e + A_o) / 2, (A_e - A_o) / 2
+    A = sp.csr_matrix(sp.bmat([[K, L], [L, K]]))
+    eye = sp.identity(n)
+    bases = tuple(sp.csr_matrix(sp.vstack([eye, s * eye])) for s in (1.0, -1.0))
+    return A, sp.identity(2 * n, format="csr"), bases
+
+
+def test_a_block_holding_all_the_pairs_is_solved_again():
+    A, B, bases = _two_block_pencil()
+    m = 4
+    vals, V, report = smallest_generalized_eigs(A, B, m, bases=bases)
+    # each half asks for min(4, 2 + 1) = 3; the even half's 3 lie below the merged
+    # 4th value, so it is solved again for 4
+    assert report.pairs == (3, 3, 4)
+    whole, W, whole_report = smallest_generalized_eigs(A, B, m, bases=(None,))
+    assert whole_report.pairs == (m,)
+    assert np.abs(vals - whole).max() <= 1e-12 * whole.max()
+    assert np.abs(V - W).max() <= 1e-12
+    assert np.abs(V.T @ (B @ V) - np.eye(m)).max() <= 1e-12
+
+
+def test_a_block_whose_share_reaches_past_the_mth_is_not_solved_again():
+    # with lift 1.5 the halves interleave: the odd half's share reaches past the 4th
+    A, B, bases = _two_block_pencil(lift=1.5)
+    vals, _, report = smallest_generalized_eigs(A, B, 4, bases=bases)
+    assert report.pairs == (3, 3)
+    whole, _, _ = smallest_generalized_eigs(A, B, 4)
+    assert np.abs(vals - whole).max() <= 1e-12 * whole.max()
+
+
+@pytest.mark.parametrize("mesh, pairs", [(square(16), (2, 2, 2, 2)), (lshape(8), (3, 3))],
+                         ids=["square-quarters", "lshape-halves"])
+def test_each_block_asks_for_its_share(mesh, pairs):
+    sys_ = assemble_forms(WgSpace(mesh, 1), ElasticParams(nu=0.49), StabilizationConfig())
+    res = solve_eigen(sys_, 4)
+    assert res.report.pairs == pairs
+    # the lifted vectors are B-orthonormal on the whole pencil
+    V = res.vectors
+    assert V.shape == (sys_.A.shape[0], 4)
+    assert np.abs(V.T @ (sys_.B @ V) - np.eye(4)).max() <= 1e-10
+
+
+def test_more_pairs_than_the_shares_hold_solve_one_quarter_again():
+    sys_ = assemble_forms(WgSpace(square(16), 1), ElasticParams(nu=0.49), StabilizationConfig())
+    res = solve_eigen(sys_, 8)
+    pairs = res.report.pairs
+    # four quarters ask for min(8, 2 + 1) = 3, then exactly one is solved again for 8
+    assert pairs[:4] == (3, 3, 3, 3) and pairs[4:] == (8,)
+    whole, W, _ = smallest_generalized_eigs(sys_.A, sys_.B, 8)
+    assert np.abs(res.eigenvalues - whole).max() <= 1e-12 * whole.max()
+    V = res.vectors
+    assert np.abs(V.T @ (sys_.B @ V) - np.eye(8)).max() <= 1e-10
+    assert np.abs(np.abs(W.T @ (sys_.B @ V)) - np.eye(8)).max() <= 1e-8
+
+
+def test_one_block_asks_for_all_pairs_and_keeps_its_numbers():
+    sys_ = assemble_cr(CrSpace(square(16, "bottom")), ElasticParams(nu=0.49), StabilizationConfig())
+    assert sys_.bases == (None,)
+    res = solve_eigen(sys_, 5)
+    assert res.report.pairs == (5,)
+    vals, V, _ = smallest_generalized_eigs(sys_.A, sys_.B, 5, bases=(None,))
+    assert np.array_equal(res.eigenvalues, vals) and np.array_equal(res.vectors, V)
